@@ -20,10 +20,7 @@
 //! * [`weighted_aggregate`] — the Lemma 1 rule; [`majority_vote`] as the
 //!   unweighted baseline.
 //! * [`DawidSkene`] — EM estimation of per-worker accuracies without
-//!   ground truth (one way the platform can maintain its `θ` record);
-//!   [`AsymmetricDawidSkene`] fits the full two-parameter confusion model
-//!   (per-class error rates) and [`TruthDiscovery`] the CRH-style
-//!   distance-weighted alternative.
+//!   ground truth (one way the platform can maintain its `θ` record).
 //! * [`estimate_skills_from_gold`] — supervised skill estimation from gold
 //!   tasks with Laplace smoothing.
 //! * [`empirical_error_rate`] — Monte-Carlo verification that a winner
@@ -60,23 +57,19 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod em;
-mod em_asymmetric;
 mod error_bound;
 mod estimate;
 mod gold;
 mod labels;
 mod tracker;
-mod truth_discovery;
 mod weighted;
 
 pub use em::{DawidSkene, DawidSkeneFit};
-pub use em_asymmetric::{AsymmetricDawidSkene, AsymmetricFit};
 pub use error_bound::{empirical_error_rate, lemma1_threshold, ErrorRateReport};
 pub use estimate::{EstimateError, EstimateSource, SkillEstimate};
 pub use gold::{estimate_skills_from_gold, gold_skill_estimate, raw_gold_accuracy};
 pub use labels::{generate_labels, Label, LabelSet, Observation};
 pub use tracker::{RefitInfo, SkillTracker, TrackerConfig};
-pub use truth_discovery::{TruthDiscovery, TruthDiscoveryFit};
 pub use weighted::{
     achieved_coverage, majority_vote, weighted_aggregate, weighted_aggregate_strict,
 };

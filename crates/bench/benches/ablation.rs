@@ -10,8 +10,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mcs_auction::{
-    DpHsrcAuction, ExponentialMechanism, ScheduleEngine, ScheduledMechanism, SelectionRule,
-    Strategy,
+    reference_schedule, DpHsrcAuction, ExponentialMechanism, ScheduleEngine, ScheduledMechanism,
+    SelectionRule,
 };
 use mcs_num::rng;
 use mcs_sim::experiments::sampled_payment_stats;
@@ -30,10 +30,7 @@ fn bench_compression(c: &mut Criterion) {
     });
     group.bench_function("naive_per_price", |b| {
         b.iter(|| {
-            ScheduleEngine::new(SelectionRule::MarginalCoverage)
-                .strategy(Strategy::Naive)
-                .build(&g.instance)
-                .expect("feasible")
+            reference_schedule(&g.instance, SelectionRule::MarginalCoverage).expect("feasible")
         });
     });
     group.finish();

@@ -1,11 +1,11 @@
-//! Schedule-engine benchmark: eager full-rescan vs lazy greedy (CELF) vs
-//! the default engine (lazy + rayon per-interval fan-out under the
-//! `parallel` feature).
+//! Schedule-engine benchmark: the incremental sweep vs the indexed
+//! lockstep engine vs the default (`Auto`, which picks between the two
+//! from the candidate-pool size).
 //!
-//! The acceptance target for the lazy engine is a ≥2× schedule-build
-//! speedup over the eager reference at Setting-II scale (N ≥ 300). All
-//! three engines produce byte-identical schedules (see
-//! `tests/schedule_equivalence.rs`); only the build cost differs.
+//! Both engines produce byte-identical schedules (see
+//! `tests/schedule_equivalence.rs`); only the build cost differs. At
+//! Setting-II scale (N = 300) `Auto` runs the incremental sweep, so the
+//! `auto` and `incremental` rows should coincide.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -16,8 +16,8 @@ use mcs_types::Instance;
 /// Large pools at and above Setting-II scale. `n300_k30` keeps the
 /// Table I Setting I/II distributions verbatim; `n300_tight` tightens the
 /// error bounds (δ ∈ [0.01, 0.02], so Q = 2 ln(1/δ) ≈ 8–9) so every task
-/// needs tens of winners — the regime where the eager engine's full
-/// rescans dominate and the lazy cache pays off hardest.
+/// needs tens of winners and the incremental sweep's replays diverge
+/// more often.
 fn instances() -> Vec<(String, Instance)> {
     let mut tight = Setting::one(300);
     tight.delta_range = (0.01, 0.02);
@@ -35,31 +35,16 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_engine");
     group.sample_size(10);
     for (n, inst) in &instances {
-        group.bench_with_input(BenchmarkId::new("eager_rescan", n), inst, |b, inst| {
-            b.iter(|| {
-                ScheduleEngine::new(SelectionRule::MarginalCoverage)
-                    .strategy(Strategy::Eager)
-                    .build(inst)
-                    .expect("feasible")
+        for strategy in Strategy::ALL {
+            group.bench_with_input(BenchmarkId::new(strategy.name(), n), inst, |b, inst| {
+                b.iter(|| {
+                    ScheduleEngine::new(SelectionRule::MarginalCoverage)
+                        .strategy(strategy)
+                        .build(inst)
+                        .expect("feasible")
+                });
             });
-        });
-        group.bench_with_input(BenchmarkId::new("lazy_serial", n), inst, |b, inst| {
-            b.iter(|| {
-                ScheduleEngine::new(SelectionRule::MarginalCoverage)
-                    .strategy(Strategy::Lazy)
-                    .build(inst)
-                    .expect("feasible")
-            });
-        });
-        // Default engine: lazy, and additionally fans intervals out over
-        // rayon when built with `--features parallel`.
-        group.bench_with_input(BenchmarkId::new("default", n), inst, |b, inst| {
-            b.iter(|| {
-                ScheduleEngine::new(SelectionRule::MarginalCoverage)
-                    .build(inst)
-                    .expect("feasible")
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -5,7 +5,6 @@ use rand::Rng;
 
 use mcs_types::{Instance, McsError};
 
-use crate::engine::{ScheduleEngine, Strategy};
 use crate::mechanism::{run_scheduled, Mechanism, ScheduledMechanism};
 use crate::outcome::AuctionOutcome;
 use crate::schedule::SelectionRule;
@@ -22,7 +21,6 @@ use crate::schedule::SelectionRule;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineAuction {
     epsilon: f64,
-    strategy: Strategy,
 }
 
 impl BaselineAuction {
@@ -36,32 +34,13 @@ impl BaselineAuction {
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(McsError::InvalidEpsilon { value: epsilon });
         }
-        Ok(BaselineAuction {
-            epsilon,
-            strategy: Strategy::Auto,
-        })
-    }
-
-    /// Selects the winner-determination strategy the baseline's schedules
-    /// are built with. Every strategy produces the identical mechanism
-    /// output; this only changes the cost profile (mirrors
-    /// [`DpHsrcAuction::with_strategy`](crate::DpHsrcAuction::with_strategy)).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
+        Ok(BaselineAuction { epsilon })
     }
 
     /// The privacy budget ε.
     #[inline]
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// The configured winner-determination strategy.
-    #[inline]
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 }
 
@@ -86,10 +65,6 @@ impl ScheduledMechanism for BaselineAuction {
 
     fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    fn engine(&self) -> ScheduleEngine {
-        ScheduleEngine::new(self.selection_rule()).strategy(self.strategy)
     }
 }
 
@@ -191,25 +166,6 @@ mod tests {
         let dp = DpHsrcAuction::new(0.1).unwrap().pmf(&inst).unwrap();
         let base = BaselineAuction::new(0.1).unwrap().pmf(&inst).unwrap();
         assert_eq!(dp.schedule().prices(), base.schedule().prices());
-    }
-
-    #[test]
-    fn strategy_override_does_not_change_the_baseline() {
-        let inst = siren_instance();
-        let reference = BaselineAuction::new(0.5).unwrap().pmf(&inst).unwrap();
-        for strategy in Strategy::ALL {
-            let pmf = BaselineAuction::new(0.5)
-                .unwrap()
-                .with_strategy(strategy)
-                .pmf(&inst)
-                .unwrap();
-            assert_eq!(pmf.probs(), reference.probs(), "{strategy:?}");
-            assert_eq!(
-                pmf.schedule().prices(),
-                reference.schedule().prices(),
-                "{strategy:?}"
-            );
-        }
     }
 
     #[test]

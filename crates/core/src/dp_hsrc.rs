@@ -4,7 +4,6 @@ use rand::Rng;
 
 use mcs_types::{Instance, McsError};
 
-use crate::engine::{ScheduleEngine, Strategy};
 use crate::mechanism::{run_scheduled, Mechanism, ScheduledMechanism};
 use crate::outcome::AuctionOutcome;
 use crate::schedule::SelectionRule;
@@ -25,7 +24,6 @@ use crate::schedule::SelectionRule;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpHsrcAuction {
     epsilon: f64,
-    strategy: Strategy,
 }
 
 impl DpHsrcAuction {
@@ -39,32 +37,13 @@ impl DpHsrcAuction {
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(McsError::InvalidEpsilon { value: epsilon });
         }
-        Ok(DpHsrcAuction {
-            epsilon,
-            strategy: Strategy::Auto,
-        })
-    }
-
-    /// Selects the winner-determination strategy the auction's schedules
-    /// are built with. Every strategy produces the identical mechanism
-    /// output; this only changes the cost profile (e.g.
-    /// [`Strategy::Indexed`] for very large worker pools).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
+        Ok(DpHsrcAuction { epsilon })
     }
 
     /// The privacy budget ε.
     #[inline]
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// The configured winner-determination strategy.
-    #[inline]
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 }
 
@@ -92,10 +71,6 @@ impl ScheduledMechanism for DpHsrcAuction {
 
     fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    fn engine(&self) -> ScheduleEngine {
-        ScheduleEngine::new(self.selection_rule()).strategy(self.strategy)
     }
 }
 
@@ -207,25 +182,6 @@ mod tests {
         let a = auction.run(&inst, &mut rng::seeded(7)).unwrap();
         let b = auction.run(&inst, &mut rng::seeded(7)).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn strategy_override_does_not_change_the_mechanism() {
-        let inst = instance();
-        let reference = DpHsrcAuction::new(0.5).unwrap().pmf(&inst).unwrap();
-        for strategy in Strategy::ALL {
-            let pmf = DpHsrcAuction::new(0.5)
-                .unwrap()
-                .with_strategy(strategy)
-                .pmf(&inst)
-                .unwrap();
-            assert_eq!(pmf.probs(), reference.probs(), "{strategy:?}");
-            assert_eq!(
-                pmf.schedule().prices(),
-                reference.schedule().prices(),
-                "{strategy:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! The unified schedule-engine API: one builder, enumerable strategies.
+//! The schedule-engine API: one builder, two engines, and a
+//! [`Strategy::Auto`] rule that picks between them from the instance.
 //!
-//! Historically every winner-determination engine was its own free
-//! function (`build_schedule`, `build_schedule_eager`, …), which made the
-//! engine choice a *function name* — impossible to put in a config file,
-//! cycle through in the differential checker, or thread through the
-//! service without one code path per engine. [`ScheduleEngine`] replaces
-//! the whole family: a [`SelectionRule`] plus a [`Strategy`] (plain data,
-//! `Strategy::ALL`-enumerable) plus an optional price-grid
-//! [`Coarsening`] knob, built fluently:
+//! Algorithm 1 needs one greedy winner set per bidding-price interval
+//! (Theorem 5). [`ScheduleEngine`] builds that schedule from a
+//! [`SelectionRule`] and a [`Strategy`]:
 //!
 //! ```
 //! use mcs_auction::{ScheduleEngine, SelectionRule, Strategy};
@@ -32,12 +28,10 @@
 //! # }
 //! ```
 //!
-//! All strategies produce the identical schedule (with coarsening off);
-//! they differ only in cost. [`Strategy::Indexed`] is the worker-axis
-//! engine: a per-price [`CandidateIndex`](mcs_types::CandidateIndex),
-//! one-time initial gains, and a lazily re-evaluated challenger heap make
-//! its per-interval cost nearly independent of the worker count `N` —
-//! the engine of choice from `N ≈ 10⁴` up (see DESIGN.md §5f).
+//! Every strategy produces the identical schedule; they differ only in
+//! cost (see [`Strategy`]). The naive per-grid-price reference both
+//! engines are tested against is
+//! [`reference_schedule`](crate::reference_schedule).
 
 use mcs_types::{Instance, McsError, WorkerId};
 
@@ -45,159 +39,90 @@ use crate::schedule::{build_dispatch, build_residual_dispatch, PriceSchedule, Se
 
 /// Which engine evaluates the per-interval winner sets.
 ///
-/// Every strategy yields the identical [`PriceSchedule`] when
-/// [`Coarsening::Off`] — the differential checker enforces this — so the
-/// choice is purely a cost model:
+/// Under [`SelectionRule::MarginalCoverage`] the two engines cover the
+/// two cost regimes (DESIGN.md §5f):
 ///
-/// | Strategy | Cost profile |
-/// |----------|--------------|
-/// | [`Auto`](Strategy::Auto) | [`Lazy`](Strategy::Lazy), fanned over rayon with the `parallel` feature |
-/// | [`Lazy`](Strategy::Lazy) | CELF heap per interval; init gains recomputed per interval |
-/// | [`Eager`](Strategy::Eager) | full candidate rescan per selection round (reference) |
-/// | [`Incremental`](Strategy::Incremental) | ascending sweep, previous winners replayed against newcomers |
-/// | [`Dense`](Strategy::Dense) | materializes the dense `N×K` matrix first (pre-CSR data path) |
-/// | [`Naive`](Strategy::Naive) | recomputes every grid price independently (reference) |
-/// | [`Indexed`](Strategy::Indexed) | price-bucketed candidate index + one-time gains + lazy challenger heap |
+/// | Strategy | Engine | Cost profile |
+/// |----------|--------|--------------|
+/// | [`Auto`] | [`Indexed`] from [`Strategy::INDEXED_FROM_WORKERS`] candidates up, [`Incremental`] below | the faster engine at every point `schedule_scaling` records |
+/// | [`Incremental`] | ascending price sweep replaying the previous interval's winners against the newcomers | one replay per interval while the winner set holds; cheapest on Table I sizes |
+/// | [`Indexed`] | every interval's greedy in lockstep over one walk of a global gain-rank order | per-interval cost nearly independent of `N`; cheapest from `N ≈ 10⁴` up |
+///
+/// Under [`SelectionRule::StaticTotal`] every strategy takes the same
+/// path: the candidates are sorted by static score once and each
+/// interval filters that order to its price prefix.
+///
+/// [`Auto`]: Strategy::Auto
+/// [`Incremental`]: Strategy::Incremental
+/// [`Indexed`]: Strategy::Indexed
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// The default: lazy CELF, parallel over intervals when the
-    /// `parallel` feature is enabled.
+    /// The default: [`Strategy::Indexed`] on candidate pools of at least
+    /// [`Strategy::INDEXED_FROM_WORKERS`] workers, [`Strategy::Incremental`]
+    /// on smaller ones.
     Auto,
-    /// CELF lazy evaluation, always serial over intervals.
-    Lazy,
-    /// Full rescan per selection round — the pre-lazy reference.
-    Eager,
     /// Serial ascending sweep sharing residual state across intervals.
     Incremental,
-    /// The pre-CSR data path: dense `N×K` materialization, then sparse.
-    Dense,
-    /// Per-grid-price recomputation — the interval-compression reference.
-    Naive,
-    /// The worker-axis engine: candidate index, one-time initial gains,
-    /// lazy challenger-heap replays (see DESIGN.md §5f).
+    /// The worker-axis engine: one global gain-rank order walked by every
+    /// interval's greedy in lockstep (see DESIGN.md §5f).
     Indexed,
 }
 
 impl Strategy {
     /// Every strategy, in a fixed order (checkers cycle through this).
-    pub const ALL: [Strategy; 7] = [
-        Strategy::Auto,
-        Strategy::Lazy,
-        Strategy::Eager,
-        Strategy::Incremental,
-        Strategy::Dense,
-        Strategy::Naive,
-        Strategy::Indexed,
-    ];
+    pub const ALL: [Strategy; 3] = [Strategy::Auto, Strategy::Incremental, Strategy::Indexed];
 
-    /// The strategies whose cost stays polynomial in `nnz` rather than in
-    /// `N·K` or `N²K` — the only ones safe to run on instances with tens
-    /// of thousands of workers or tasks.
-    pub const SCALABLE: [Strategy; 4] = [
-        Strategy::Auto,
-        Strategy::Lazy,
-        Strategy::Incremental,
-        Strategy::Indexed,
-    ];
+    /// The candidate-pool size from which [`Strategy::Auto`] takes the
+    /// indexed engine. Below it the incremental sweep is faster on every
+    /// Table I shape (≈3.4 against ≈7.8 ms at Setting I, N = 560); from it
+    /// up the indexed engine is (≈12 against ≈26 ms at N = 10 000; both
+    /// on 2 vCPUs, DESIGN.md §5f).
+    pub const INDEXED_FROM_WORKERS: usize = 10_000;
 
-    /// Stable lowercase name (config files, CLI flags, reports).
+    /// Stable lowercase name (reports, bench columns).
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Auto => "auto",
-            Strategy::Lazy => "lazy",
-            Strategy::Eager => "eager",
             Strategy::Incremental => "incremental",
-            Strategy::Dense => "dense",
-            Strategy::Naive => "naive",
             Strategy::Indexed => "indexed",
         }
     }
 
-    /// Parses a [`Strategy::name`] back into the strategy.
-    pub fn by_name(name: &str) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|s| s.name() == name)
-    }
-}
-
-/// The price-grid coarsening knob.
-///
-/// With `Stride(c)`, only every `c`-th bidding-price interval (plus
-/// always the first and the last) runs winner selection; each skipped
-/// interval reuses the winner set `S(r)` of the nearest evaluated price
-/// `r` at or below it. The resulting schedule is **feasible everywhere**
-/// (winners bidding at most `r` also bid at most `p ≥ r`) and
-/// **bit-identical to the exact schedule at every evaluated price**, and
-/// its payments obey the documented bound
-///
-/// ```text
-/// R_coarse(p) = p·|S(r)| = (p/r)·R_exact(r) ≤ (1 + λ)·R_exact(r),
-/// ```
-///
-/// where `λ = max (p − r)/r` over the skipped grid prices — so
-/// `min_total_payment` of the coarse schedule equals the minimum of the
-/// *exact* payments over the evaluated prices, never below the exact
-/// minimum. There is deliberately **no** pointwise guarantee against the
-/// exact winner set at a *skipped* price: greedy cardinality is not
-/// monotone in the candidate pool, so `|S(p)|` may be smaller or larger
-/// than `|S(r)|` (DESIGN.md §5f spells this out).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Coarsening {
-    /// Evaluate every interval — the exact schedule.
-    Off,
-    /// Evaluate every `c`-th interval (plus the first and last);
-    /// `Stride(0)` and `Stride(1)` are equivalent to [`Coarsening::Off`].
-    Stride(usize),
-}
-
-impl Coarsening {
-    /// The effective stride: `1` means every interval is evaluated.
-    #[inline]
-    pub fn stride(self) -> usize {
+    /// The engine this strategy runs on a pool of `candidates` workers:
+    /// [`Strategy::Auto`] resolves by pool size, the other strategies to
+    /// themselves.
+    pub fn resolve(self, candidates: usize) -> Strategy {
         match self {
-            Coarsening::Off => 1,
-            Coarsening::Stride(c) => c.max(1),
+            Strategy::Auto if candidates >= Strategy::INDEXED_FROM_WORKERS => Strategy::Indexed,
+            Strategy::Auto => Strategy::Incremental,
+            forced => forced,
         }
     }
-
-    /// Whether this knob actually skips intervals.
-    #[inline]
-    pub fn is_active(self) -> bool {
-        self.stride() > 1
-    }
 }
 
-/// The unified builder for per-price winner schedules (Algorithm 1,
-/// lines 1–15) — see the [module docs](self) for the full picture.
+/// The builder for per-price winner schedules (Algorithm 1, lines 1–15);
+/// [`Strategy`] describes the engines it can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEngine {
     rule: SelectionRule,
     strategy: Strategy,
-    coarsening: Coarsening,
 }
 
 impl ScheduleEngine {
-    /// An engine with the given selection rule, [`Strategy::Auto`], and
-    /// coarsening off.
+    /// An engine with the given selection rule and [`Strategy::Auto`].
     pub fn new(rule: SelectionRule) -> ScheduleEngine {
         ScheduleEngine {
             rule,
             strategy: Strategy::Auto,
-            coarsening: Coarsening::Off,
         }
     }
 
-    /// Selects the winner-determination strategy.
+    /// Forces one engine instead of [`Strategy::Auto`]'s choice — for the
+    /// differential checkers and the scaling bench, since every strategy
+    /// yields the identical schedule.
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> ScheduleEngine {
         self.strategy = strategy;
-        self
-    }
-
-    /// Sets the price-grid coarsening knob. Ignored by
-    /// [`Strategy::Naive`], which has no interval structure to coarsen.
-    #[must_use]
-    pub fn coarsening(mut self, coarsening: Coarsening) -> ScheduleEngine {
-        self.coarsening = coarsening;
         self
     }
 
@@ -213,12 +138,6 @@ impl ScheduleEngine {
         self.strategy
     }
 
-    /// The configured coarsening knob.
-    #[inline]
-    pub fn configured_coarsening(&self) -> Coarsening {
-        self.coarsening
-    }
-
     /// Builds the per-price winner schedule for a full instance.
     ///
     /// # Errors
@@ -228,17 +147,13 @@ impl ScheduleEngine {
     /// * [`McsError::NoFeasiblePrice`] — coverage is possible but only
     ///   above the top of the price grid.
     pub fn build(&self, instance: &Instance) -> Result<PriceSchedule, McsError> {
-        build_dispatch(instance, self.rule, self.strategy, self.coarsening.stride())
+        build_dispatch(instance, self.rule, self.strategy)
     }
 
     /// Builds the schedule for a *residual* covering problem: only
     /// `eligible` workers may win and each task needs only the leftover
     /// coverage `requirements[j]` (non-positive entries mean already
-    /// satisfied).
-    ///
-    /// The residual problem is always materialized sparsely, so
-    /// [`Strategy::Dense`] falls back to [`Strategy::Auto`] and
-    /// [`Strategy::Naive`] to [`Strategy::Eager`] here.
+    /// satisfied). [`Strategy::Auto`] resolves on the eligible pool size.
     ///
     /// # Errors
     ///
@@ -255,14 +170,7 @@ impl ScheduleEngine {
         requirements: &[f64],
         eligible: &[WorkerId],
     ) -> Result<PriceSchedule, McsError> {
-        build_residual_dispatch(
-            instance,
-            self.rule,
-            self.strategy,
-            self.coarsening.stride(),
-            requirements,
-            eligible,
-        )
+        build_residual_dispatch(instance, self.rule, self.strategy, requirements, eligible)
     }
 }
 
@@ -271,40 +179,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strategy_names_round_trip() {
-        for strategy in Strategy::ALL {
-            assert_eq!(Strategy::by_name(strategy.name()), Some(strategy));
+    fn auto_resolves_by_candidate_pool_size() {
+        let threshold = Strategy::INDEXED_FROM_WORKERS;
+        assert_eq!(Strategy::Auto.resolve(0), Strategy::Incremental);
+        assert_eq!(Strategy::Auto.resolve(threshold - 1), Strategy::Incremental);
+        assert_eq!(Strategy::Auto.resolve(threshold), Strategy::Indexed);
+        for n in [1, threshold - 1, threshold, 10 * threshold] {
+            assert_eq!(Strategy::Incremental.resolve(n), Strategy::Incremental);
+            assert_eq!(Strategy::Indexed.resolve(n), Strategy::Indexed);
         }
-        assert_eq!(Strategy::by_name("no-such-strategy"), None);
-    }
-
-    #[test]
-    fn scalable_strategies_are_a_subset() {
-        for s in Strategy::SCALABLE {
-            assert!(Strategy::ALL.contains(&s));
-        }
-        assert!(!Strategy::SCALABLE.contains(&Strategy::Dense));
-        assert!(!Strategy::SCALABLE.contains(&Strategy::Naive));
-        assert!(!Strategy::SCALABLE.contains(&Strategy::Eager));
-    }
-
-    #[test]
-    fn coarsening_stride_normalizes() {
-        assert_eq!(Coarsening::Off.stride(), 1);
-        assert_eq!(Coarsening::Stride(0).stride(), 1);
-        assert_eq!(Coarsening::Stride(1).stride(), 1);
-        assert_eq!(Coarsening::Stride(4).stride(), 4);
-        assert!(!Coarsening::Stride(1).is_active());
-        assert!(Coarsening::Stride(2).is_active());
     }
 
     #[test]
     fn builder_accessors_reflect_configuration() {
-        let engine = ScheduleEngine::new(SelectionRule::StaticTotal)
-            .strategy(Strategy::Indexed)
-            .coarsening(Coarsening::Stride(3));
+        let engine = ScheduleEngine::new(SelectionRule::StaticTotal).strategy(Strategy::Indexed);
         assert_eq!(engine.rule(), SelectionRule::StaticTotal);
         assert_eq!(engine.configured_strategy(), Strategy::Indexed);
-        assert_eq!(engine.configured_coarsening(), Coarsening::Stride(3));
+        assert_eq!(
+            ScheduleEngine::new(SelectionRule::MarginalCoverage).configured_strategy(),
+            Strategy::Auto
+        );
     }
 }

@@ -108,11 +108,11 @@ pub mod xor;
 pub use baseline::BaselineAuction;
 pub use critical::{CriticalOutcome, CriticalPaymentAuction};
 pub use dp_hsrc::DpHsrcAuction;
-pub use engine::{Coarsening, ScheduleEngine, Strategy};
+pub use engine::{ScheduleEngine, Strategy};
 pub use exponential::ExponentialMechanism;
 pub use mechanism::{Mechanism, ScheduledMechanism};
 pub use optimal::{OptimalMechanism, OptimalOutcome, PerPriceSolve};
 pub use outcome::AuctionOutcome;
 pub use replay::{OnlinePricer, Quote, ReplayStats};
-pub use schedule::{PricePmf, PriceSchedule, SelectionRule};
+pub use schedule::{reference_schedule, PricePmf, PriceSchedule, SelectionRule};
 pub use xor::{Award, XorBid, XorDpHsrcAuction, XorInstance, XorOutcome};

@@ -64,19 +64,6 @@ pub trait ScheduledMechanism: Mechanism<Input = Instance, Output = AuctionOutcom
     /// The privacy budget ε scaling the exponential mechanism.
     fn epsilon(&self) -> f64;
 
-    /// The schedule engine this mechanism builds winner schedules with.
-    ///
-    /// Defaults to `ScheduleEngine::new(self.selection_rule())` — the
-    /// auto strategy with coarsening off. Mechanisms that carry an engine
-    /// configuration (e.g. [`DpHsrcAuction::with_strategy`]) override
-    /// this, and both [`ScheduledMechanism::schedule`] and
-    /// [`ScheduledMechanism::residual_schedule`] pick the override up.
-    ///
-    /// [`DpHsrcAuction::with_strategy`]: crate::DpHsrcAuction::with_strategy
-    fn engine(&self) -> ScheduleEngine {
-        ScheduleEngine::new(self.selection_rule())
-    }
-
     /// The winner schedule over all feasible candidate prices
     /// (Algorithm 1, lines 1–15).
     ///
@@ -87,7 +74,7 @@ pub trait ScheduledMechanism: Mechanism<Input = Instance, Output = AuctionOutcom
     /// * [`McsError::NoFeasiblePrice`] — coverage is possible but only
     ///   above the top of the price grid.
     fn schedule(&self, instance: &Instance) -> Result<PriceSchedule, McsError> {
-        self.engine().build(instance)
+        ScheduleEngine::new(self.selection_rule()).build(instance)
     }
 
     /// The mechanism's exact output distribution over feasible prices
@@ -117,7 +104,7 @@ pub trait ScheduledMechanism: Mechanism<Input = Instance, Output = AuctionOutcom
         residual: &[f64],
         eligible: &[WorkerId],
     ) -> Result<PriceSchedule, McsError> {
-        self.engine().build_residual(instance, residual, eligible)
+        ScheduleEngine::new(self.selection_rule()).build_residual(instance, residual, eligible)
     }
 
     /// Runs a **backfill re-auction**: samples one outcome for the residual

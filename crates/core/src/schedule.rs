@@ -11,9 +11,7 @@
 use rand::Rng;
 
 use mcs_num::{sample_logits, softmax_from_logits};
-use mcs_types::{
-    CandidateIndex, CoverageView, Instance, McsError, Price, SparseCoverage, TaskId, WorkerId,
-};
+use mcs_types::{CoverageView, Instance, McsError, Price, SparseCoverage, TaskId, WorkerId};
 
 use crate::engine::Strategy;
 use crate::outcome::AuctionOutcome;
@@ -222,12 +220,26 @@ pub(crate) fn apply_winner(
     }
 }
 
-/// The CELF loop behind [`select_marginal`], seeded with precomputed
-/// initial gains and returning winners in *selection order* (unsorted).
+/// Greedy winner selection among `candidates` (Algorithm 1, lines 8–13),
+/// evaluated lazily (CELF) from precomputed initial gains and returning
+/// winners in *selection order* (unsorted).
+///
+/// Each candidate's last-computed marginal coverage is kept in a max-heap
+/// and only the top entry is re-evaluated. Because the residual
+/// requirements only shrink, coverage gains are submodular — a stale
+/// cached gain is always an *upper bound* — so the popped candidate can be
+/// accepted as soon as its fresh gain still beats the next cached bound.
+/// Picks the exact winner sequence of the eager rescan
+/// ([`select_marginal_eager`]), tie-breaking included.
 ///
 /// Initial gains against the full requirement vector do not depend on the
 /// candidate prefix, which is what lets the ascending price sweep compute
 /// them once and warm-start this loop for every interval that diverges.
+///
+/// # Errors
+///
+/// [`McsError::CoverageShortfall`] if the candidates cannot satisfy the
+/// requirements (callers normally establish feasibility first).
 pub(crate) fn celf_sequence(
     candidates: &[WorkerId],
     cover: &SparseCoverage,
@@ -276,37 +288,10 @@ pub(crate) fn celf_sequence(
     Ok(sequence)
 }
 
-/// Greedy winner selection among `candidates` (Algorithm 1, lines 8–13),
-/// evaluated lazily (CELF): each candidate's last-computed marginal
-/// coverage is kept in a max-heap and only the top entry is re-evaluated.
-/// Because the residual requirements only shrink, coverage gains are
-/// submodular — a stale cached gain is always an *upper bound* — so the
-/// popped candidate can be accepted as soon as its fresh gain still beats
-/// the next cached bound. Picks the exact winner sequence of the eager
-/// rescan ([`select_marginal_eager`]), tie-breaking included.
-///
-/// # Errors
-///
-/// [`McsError::CoverageShortfall`] if the candidates cannot satisfy the
-/// requirements (callers normally establish feasibility first).
-fn select_marginal(
-    candidates: &[WorkerId],
-    cover: &SparseCoverage,
-    requirements: &[f64],
-) -> Result<Vec<WorkerId>, McsError> {
-    let init: Vec<f64> = candidates
-        .iter()
-        .map(|&w| marginal_gain(cover, w, requirements))
-        .collect();
-    let mut winners = celf_sequence(candidates, cover, &init, requirements)?;
-    winners.sort_unstable();
-    Ok(winners)
-}
-
-/// The pre-lazy reference selector: a full rescan of all candidates on
-/// every selection round. Kept as the ground truth the CELF engine is
-/// proptested against, and as the baseline the `schedule` bench measures
-/// speedups from.
+/// The reference marginal-coverage selector behind
+/// [`reference_schedule`]: a full rescan of all candidates on every
+/// selection round, sharing no heap or replay state with the engines it
+/// pins.
 fn select_marginal_eager(
     candidates: &[WorkerId],
     cover: &SparseCoverage,
@@ -344,10 +329,12 @@ fn select_marginal_eager(
     Ok(winners)
 }
 
-/// Baseline winner selection: descending static score `Σ_j q_ij`, ties by
-/// worker id. Uses the totals cached at CSR build time instead of
-/// re-summing rows inside the sort comparator — `O(n log n)` comparisons
-/// over precomputed floats rather than `O(n log n · K)` row scans.
+/// The reference baseline selector behind [`reference_schedule`]:
+/// descending static score `Σ_j q_ij`, ties by worker id, sorting each
+/// candidate pool on its own. Uses the totals cached at CSR build time
+/// instead of re-summing rows inside the sort comparator — `O(n log n)`
+/// comparisons over precomputed floats rather than `O(n log n · K)` row
+/// scans.
 fn select_static(
     candidates: &[WorkerId],
     cover: &SparseCoverage,
@@ -410,58 +397,46 @@ fn replay_confirms(
     true
 }
 
-/// The ascending incremental price sweep: winner sets for a strictly
-/// increasing sequence of candidate prefixes, sharing state across
-/// adjacent intervals instead of selecting each one from scratch.
+/// The ascending incremental price sweep behind `Strategy::Incremental`:
+/// marginal-coverage winner sets for a strictly increasing sequence of
+/// candidate prefixes, sharing state across adjacent intervals instead of
+/// selecting each one from scratch.
 ///
-/// For [`SelectionRule::MarginalCoverage`] the sweep computes every
-/// candidate's initial gain (prefix-independent — the residual starts at
-/// the full requirements) exactly once, then walks intervals in ascending
-/// price order. Each interval first tries [`replay_confirms`]: when the
-/// newcomers never strictly beat an incumbent, the previous winner set is
-/// reused outright; otherwise the CELF loop restarts warm-seeded from the
-/// cached initial gains. In the common case — higher prices admitting
-/// expensive workers greedy never picks — an interval costs one replay
-/// (`O(|S| · nnz_newcomers)`) instead of a full selection.
-///
-/// [`SelectionRule::StaticTotal`] needs no residual sharing: with cached
-/// static totals each interval is already just a sort of the prefix.
-fn sweep_select(
-    rule: SelectionRule,
+/// The sweep computes every candidate's initial gain (prefix-independent —
+/// the residual starts at the full requirements) exactly once, then walks
+/// intervals in ascending price order. Each interval first tries
+/// [`replay_confirms`]: when the newcomers never strictly beat an
+/// incumbent, the previous winner set is reused outright; otherwise the
+/// CELF loop restarts warm-seeded from the cached initial gains. In the
+/// common case — higher prices admitting expensive workers greedy never
+/// picks — an interval costs one replay (`O(|S| · nnz_newcomers)`)
+/// instead of a full selection.
+fn incremental_sweep(
     cover: &SparseCoverage,
     requirements: &[f64],
     sorted: &[WorkerId],
     prefixes: &[usize],
 ) -> Result<Vec<Vec<WorkerId>>, McsError> {
-    match rule {
-        SelectionRule::StaticTotal => prefixes
-            .iter()
-            .map(|&p| select_static(&sorted[..p], cover, requirements))
-            .collect(),
-        SelectionRule::MarginalCoverage => {
-            let init: Vec<f64> = sorted
-                .iter()
-                .map(|&w| marginal_gain(cover, w, requirements))
-                .collect();
-            let mut out = Vec::with_capacity(prefixes.len());
-            let mut prev_prefix = 0usize;
-            let mut sequence: Vec<WorkerId> = Vec::new();
-            for &prefix in prefixes {
-                let newcomers = &sorted[prev_prefix..prefix];
-                let unchanged =
-                    prev_prefix > 0 && replay_confirms(cover, requirements, newcomers, &sequence);
-                if !unchanged {
-                    sequence =
-                        celf_sequence(&sorted[..prefix], cover, &init[..prefix], requirements)?;
-                }
-                prev_prefix = prefix;
-                let mut winners = sequence.clone();
-                winners.sort_unstable();
-                out.push(winners);
-            }
-            Ok(out)
+    let init: Vec<f64> = sorted
+        .iter()
+        .map(|&w| marginal_gain(cover, w, requirements))
+        .collect();
+    let mut out = Vec::with_capacity(prefixes.len());
+    let mut prev_prefix = 0usize;
+    let mut sequence: Vec<WorkerId> = Vec::new();
+    for &prefix in prefixes {
+        let newcomers = &sorted[prev_prefix..prefix];
+        let unchanged =
+            prev_prefix > 0 && replay_confirms(cover, requirements, newcomers, &sequence);
+        if !unchanged {
+            sequence = celf_sequence(&sorted[..prefix], cover, &init[..prefix], requirements)?;
         }
+        prev_prefix = prefix;
+        let mut winners = sequence.clone();
+        winners.sort_unstable();
+        out.push(winners);
     }
+    Ok(out)
 }
 
 /// Interval-lane width of the lockstep sweep: the per-candidate winner
@@ -980,203 +955,93 @@ impl RankedCelf {
     }
 }
 
-/// The worker-axis sweep behind `Strategy::Indexed`: one global
+/// The marginal-coverage sweep behind `Strategy::Indexed`: one global
 /// preprocessing pass over the candidates, then per-interval work that is
-/// nearly independent of the prefix length.
-///
-/// For [`SelectionRule::MarginalCoverage`] the [`RankedCelf`] index runs
+/// nearly independent of the prefix length. The [`RankedCelf`] index runs
 /// all intervals' greedy selections in lockstep over a single walk of the
 /// global gain-rank order, so the `Θ(prefix)` candidate churn is paid
-/// once per sweep instead of once per interval. For
-/// [`SelectionRule::StaticTotal`] the candidates are sorted by the
-/// static-total comparator *once*; each prefix's candidate order is that
-/// global order filtered to prefix members, eliminating the per-interval
-/// `O(prefix log prefix)` sort.
+/// once per sweep instead of once per interval.
 fn indexed_sweep(
-    rule: SelectionRule,
     cover: &SparseCoverage,
     requirements: &[f64],
     sorted: &[WorkerId],
     prefixes: &[usize],
 ) -> Result<Vec<Vec<WorkerId>>, McsError> {
-    match rule {
-        SelectionRule::StaticTotal => {
-            let mut static_order: Vec<WorkerId> = sorted.to_vec();
-            // The exact `select_static` comparator, so the filtered order
-            // equals each prefix's own sort (the comparator is a total
-            // order: ties fall to worker id).
-            static_order.sort_by(|&a, &b| {
-                cover
-                    .total(b.index())
-                    .partial_cmp(&cover.total(a.index()))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let mut price_rank = vec![usize::MAX; cover.num_workers()];
-            for (i, &w) in sorted.iter().enumerate() {
-                price_rank[w.index()] = i;
+    let init: Vec<f64> = sorted
+        .iter()
+        .map(|&w| marginal_gain(cover, w, requirements))
+        .collect();
+    let celf = RankedCelf::new(cover, sorted, &init);
+    let mut out = celf.lockstep(prefixes, requirements)?;
+    for winners in &mut out {
+        winners.sort_unstable();
+    }
+    Ok(out)
+}
+
+/// The [`SelectionRule::StaticTotal`] sweep every strategy takes: the
+/// candidates are sorted by the static-total comparator *once*, and each
+/// prefix's candidate order is that global order filtered to prefix
+/// members — no per-interval `O(prefix log prefix)` sort.
+fn static_sweep(
+    cover: &SparseCoverage,
+    requirements: &[f64],
+    sorted: &[WorkerId],
+    prefixes: &[usize],
+) -> Result<Vec<Vec<WorkerId>>, McsError> {
+    let mut static_order: Vec<WorkerId> = sorted.to_vec();
+    // The exact `select_static` comparator, so the filtered order equals
+    // each prefix's own sort (the comparator is a total order: ties fall
+    // to worker id).
+    static_order.sort_by(|&a, &b| {
+        cover
+            .total(b.index())
+            .partial_cmp(&cover.total(a.index()))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let mut price_rank = vec![usize::MAX; cover.num_workers()];
+    for (i, &w) in sorted.iter().enumerate() {
+        price_rank[w.index()] = i;
+    }
+    prefixes
+        .iter()
+        .map(|&prefix| {
+            let mut residual = requirements.to_vec();
+            let mut remaining: f64 = residual.iter().sum();
+            let mut winners = Vec::new();
+            for &w in &static_order {
+                if remaining <= COVER_EPS {
+                    break;
+                }
+                if price_rank[w.index()] >= prefix {
+                    continue;
+                }
+                winners.push(w);
+                apply_winner(cover, w, &mut residual, &mut remaining);
             }
-            prefixes
-                .iter()
-                .map(|&prefix| {
-                    let mut residual = requirements.to_vec();
-                    let mut remaining: f64 = residual.iter().sum();
-                    let mut winners = Vec::new();
-                    for &w in &static_order {
-                        if remaining <= COVER_EPS {
-                            break;
-                        }
-                        if price_rank[w.index()] >= prefix {
-                            continue;
-                        }
-                        winners.push(w);
-                        apply_winner(cover, w, &mut residual, &mut remaining);
-                    }
-                    if remaining > COVER_EPS {
-                        return Err(coverage_shortfall(&residual, requirements));
-                    }
-                    winners.sort_unstable();
-                    Ok(winners)
-                })
-                .collect()
-        }
-        SelectionRule::MarginalCoverage => {
-            let init: Vec<f64> = sorted
-                .iter()
-                .map(|&w| marginal_gain(cover, w, requirements))
-                .collect();
-            let celf = RankedCelf::new(cover, sorted, &init);
-            let mut out = celf.lockstep(prefixes, requirements)?;
-            for winners in &mut out {
-                winners.sort_unstable();
+            if remaining > COVER_EPS {
+                return Err(coverage_shortfall(&residual, requirements));
             }
-            Ok(out)
-        }
-    }
-}
-
-/// Which selector evaluates each price interval's winner set. All engines
-/// produce the identical schedule; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// CELF lazy evaluation, serial over intervals.
-    Lazy,
-    /// CELF lazy evaluation with intervals fanned out over rayon.
-    #[cfg(feature = "parallel")]
-    LazyParallel,
-    /// Full rescan per selection round (the pre-lazy reference).
-    EagerRescan,
-    /// Serial ascending sweep sharing residual state across intervals.
-    IncrementalSweep,
-    /// The worker-axis sweep: candidate index, one-time gains, ranked CELF
-    /// and challenger-heap replays (see [`indexed_sweep`]).
-    Indexed,
-}
-
-// Not derivable: the default depends on the `parallel` feature, and the
-// `LazyParallel` variant does not exist without it.
-#[allow(clippy::derivable_impls)]
-impl Default for Engine {
-    fn default() -> Self {
-        #[cfg(feature = "parallel")]
-        {
-            Engine::LazyParallel
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            Engine::Lazy
-        }
-    }
-}
-
-/// Maps the public [`Strategy`] onto the interval-level [`Engine`] for the
-/// strategies that share the sparse data path.
-fn engine_of(strategy: Strategy) -> Engine {
-    match strategy {
-        Strategy::Auto => Engine::default(),
-        Strategy::Lazy => Engine::Lazy,
-        Strategy::Eager => Engine::EagerRescan,
-        Strategy::Incremental => Engine::IncrementalSweep,
-        Strategy::Indexed => Engine::Indexed,
-        // Dense and Naive have dedicated data paths in `build_dispatch`;
-        // on the residual path they fall back (documented on
-        // `ScheduleEngine::build_residual`).
-        Strategy::Dense => Engine::default(),
-        Strategy::Naive => Engine::EagerRescan,
-    }
+            winners.sort_unstable();
+            Ok(winners)
+        })
+        .collect()
 }
 
 /// The full-instance entry point behind [`crate::ScheduleEngine::build`]:
-/// picks the data path for the strategy and threads the coarsening stride
-/// through to the interval walk.
+/// one CSR materialization straight from the bundles — `O(nnz + K)` —
+/// serves feasibility, the covering-prefix walk, and every selector.
 pub(crate) fn build_dispatch(
     instance: &Instance,
     rule: SelectionRule,
     strategy: Strategy,
-    stride: usize,
 ) -> Result<PriceSchedule, McsError> {
-    match strategy {
-        // The naive reference has no interval structure: it recomputes
-        // every grid price independently, so the coarsening stride does
-        // not apply to it.
-        Strategy::Naive => build_naive_inner(instance, rule),
-        Strategy::Dense => {
-            // The pre-CSR build path: materialize the dense `N×K`
-            // problem, run the dense feasibility check, convert after.
-            let dense = instance.coverage_problem();
-            dense.check_feasible()?;
-            let cover = SparseCoverage::from_dense(&dense);
-            let requirements = cover.requirements().to_vec();
-            let all = workers_by_price(instance);
-            schedule_over(
-                instance,
-                rule,
-                Engine::Lazy,
-                &cover,
-                &requirements,
-                &all,
-                stride,
-            )
-        }
-        Strategy::Indexed => {
-            let cover = instance.sparse_coverage();
-            cover.check_feasible()?;
-            let requirements = cover.requirements().to_vec();
-            // The candidate index *is* the canonical (price, id) order,
-            // bucketed so ascending prefixes are whole-bucket extensions.
-            let prices: Vec<i64> = (0..instance.num_workers())
-                .map(|i| instance.bids().bid(WorkerId(i as u32)).price().tenths())
-                .collect();
-            let index = CandidateIndex::from_tenths(&prices);
-            schedule_over(
-                instance,
-                rule,
-                Engine::Indexed,
-                &cover,
-                &requirements,
-                index.order(),
-                stride,
-            )
-        }
-        _ => {
-            // One CSR materialization straight from the bundles —
-            // O(nnz + K) — serves feasibility, the covering-prefix walk,
-            // and every selector.
-            let cover = instance.sparse_coverage();
-            cover.check_feasible()?;
-            let requirements = cover.requirements().to_vec();
-            let all = workers_by_price(instance);
-            schedule_over(
-                instance,
-                rule,
-                engine_of(strategy),
-                &cover,
-                &requirements,
-                &all,
-                stride,
-            )
-        }
-    }
+    let cover = instance.sparse_coverage();
+    cover.check_feasible()?;
+    let requirements = cover.requirements().to_vec();
+    let all = workers_by_price(instance);
+    schedule_over(instance, rule, strategy, &cover, &requirements, &all)
 }
 
 /// The residual entry point behind [`crate::ScheduleEngine::build_residual`]:
@@ -1186,7 +1051,6 @@ pub(crate) fn build_residual_dispatch(
     instance: &Instance,
     rule: SelectionRule,
     strategy: Strategy,
-    stride: usize,
     requirements: &[f64],
     eligible: &[WorkerId],
 ) -> Result<PriceSchedule, McsError> {
@@ -1230,37 +1094,20 @@ pub(crate) fn build_residual_dispatch(
     let mut sorted = eligible.to_vec();
     sorted.sort_by_key(|&w| (instance.bids().bid(w).price(), w));
     sorted.dedup();
-    schedule_over(
-        instance,
-        rule,
-        engine_of(strategy),
-        &cover,
-        requirements,
-        &sorted,
-        stride,
-    )
+    schedule_over(instance, rule, strategy, &cover, requirements, &sorted)
 }
 
 /// The shared schedule engine: Algorithm 1 over an arbitrary (possibly
 /// residual) requirement vector and a price-sorted candidate pool, against
-/// a prebuilt CSR covering problem.
-///
-/// `stride` is the price-grid coarsening knob (`1` = exact): with stride
-/// `c`, winner selection runs only on every `c`-th bidding-price interval
-/// plus always the last one; each skipped interval reuses the winner set
-/// of the nearest evaluated interval below it. Evaluated intervals are
-/// bit-identical to the exact schedule, skipped ones inherit a set that
-/// stays feasible (its workers bid at most the evaluated interval's
-/// prices, hence at most the skipped interval's too) — see the
-/// approximation bound documented on [`crate::Coarsening`].
+/// a prebuilt CSR covering problem. [`Strategy::Auto`] resolves here, on
+/// the size of that pool.
 fn schedule_over(
     instance: &Instance,
     rule: SelectionRule,
-    engine: Engine,
+    strategy: Strategy,
     cover: &SparseCoverage,
     raw_requirements: &[f64],
     sorted: &[WorkerId],
-    stride: usize,
 ) -> Result<PriceSchedule, McsError> {
     let n = sorted.len();
     let k = cover.num_tasks();
@@ -1319,11 +1166,8 @@ fn schedule_over(
     let prices = feasible.to_vec();
 
     // Walk the bidding-price intervals [ρ_i, ρ_{i+1}) and record which
-    // grid prices each interval owns. Intervals are independent of one
-    // another — each one's winner set depends only on its candidate
-    // prefix — which is what makes the fan-out below safe. (The
-    // incremental sweep instead *exploits* their ordering: prefixes only
-    // grow with price, so adjacent intervals share selection state.)
+    // grid prices each interval owns. Prefixes only grow with price, which
+    // is what lets both engines share selection state across intervals.
     struct Interval {
         /// First grid-price index owned by this interval.
         start: usize,
@@ -1358,69 +1202,21 @@ fn schedule_over(
         }
     }
 
-    // Price-grid coarsening: the subset of intervals that actually run
-    // winner selection. Stride 1 evaluates everything (the exact
-    // schedule); larger strides keep every `stride`-th interval plus
-    // always the last, and each skipped interval inherits the winner set
-    // of the nearest evaluated interval below it.
-    let stride = stride.max(1);
-    let evaluated: Vec<usize> = (0..intervals.len())
-        .filter(|&i| i % stride == 0 || i + 1 == intervals.len())
-        .collect();
-    // `backing[i]` = position in `evaluated` of the interval whose winner
-    // set interval `i` uses (itself when evaluated).
-    let mut backing = vec![0usize; intervals.len()];
-    {
-        let mut e = 0usize;
-        for (i, b) in backing.iter_mut().enumerate() {
-            if e + 1 < evaluated.len() && evaluated[e + 1] <= i {
-                e += 1;
-            }
-            *b = e;
+    let prefixes: Vec<usize> = intervals.iter().map(|iv| iv.prefix).collect();
+    let winner_sets = match (rule, strategy.resolve(n)) {
+        (SelectionRule::StaticTotal, _) => static_sweep(cover, &requirements, sorted, &prefixes)?,
+        (SelectionRule::MarginalCoverage, Strategy::Indexed) => {
+            indexed_sweep(cover, &requirements, sorted, &prefixes)?
         }
-    }
-
-    let select = |iv: &Interval| -> Result<Vec<WorkerId>, McsError> {
-        let candidates = &sorted[..iv.prefix];
-        match (rule, engine) {
-            (SelectionRule::MarginalCoverage, Engine::EagerRescan) => {
-                select_marginal_eager(candidates, cover, &requirements)
-            }
-            (SelectionRule::MarginalCoverage, _) => {
-                select_marginal(candidates, cover, &requirements)
-            }
-            (SelectionRule::StaticTotal, _) => select_static(candidates, cover, &requirements),
-        }
-    };
-    let winner_sets: Vec<Vec<WorkerId>> = match engine {
-        Engine::IncrementalSweep => {
-            let prefixes: Vec<usize> = evaluated.iter().map(|&i| intervals[i].prefix).collect();
-            sweep_select(rule, cover, &requirements, sorted, &prefixes)?
-        }
-        Engine::Indexed => {
-            let prefixes: Vec<usize> = evaluated.iter().map(|&i| intervals[i].prefix).collect();
-            indexed_sweep(rule, cover, &requirements, sorted, &prefixes)?
-        }
-        _ => {
-            let selected: Vec<Result<Vec<WorkerId>, McsError>> = match engine {
-                #[cfg(feature = "parallel")]
-                Engine::LazyParallel => {
-                    use rayon::prelude::*;
-                    evaluated
-                        .par_iter()
-                        .map(|&i| select(&intervals[i]))
-                        .collect()
-                }
-                _ => evaluated.iter().map(|&i| select(&intervals[i])).collect(),
-            };
-            selected.into_iter().collect::<Result<_, _>>()?
+        (SelectionRule::MarginalCoverage, _) => {
+            incremental_sweep(cover, &requirements, sorted, &prefixes)?
         }
     };
 
     let mut set_of = vec![usize::MAX; prices.len()];
     for (i, iv) in intervals.iter().enumerate() {
         for s in set_of.iter_mut().take(iv.end).skip(iv.start) {
-            *s = backing[i];
+            *s = i;
         }
     }
     debug_assert!(
@@ -1435,11 +1231,28 @@ fn schedule_over(
     })
 }
 
-/// The naive per-grid-price reference behind [`Strategy::Naive`].
-/// Deliberately shares *no* machinery with the optimized engine beyond the
-/// selectors it is pinned against: it materializes the dense covering
-/// problem and converts it, rather than trusting the direct CSR build.
-fn build_naive_inner(instance: &Instance, rule: SelectionRule) -> Result<PriceSchedule, McsError> {
+/// The naive per-grid-price reference schedule — the test oracle every
+/// [`Strategy`] is pinned against.
+///
+/// Recomputes every grid price independently with the full-rescan
+/// selectors, so its cost is `O(|P| · N² · K)`: use it on small instances
+/// only. Deliberately shares *no* machinery with the engines beyond the
+/// coverage row layout: it materializes the dense covering problem and
+/// converts it, rather than trusting the direct CSR build. Its schedule
+/// is observationally equal to [`crate::ScheduleEngine::build`]'s (same
+/// prices, same winner set at each price), though identical winner sets
+/// may be compressed differently.
+///
+/// # Errors
+///
+/// * [`McsError::Infeasible`] — even the full pool cannot satisfy some
+///   task's error-bound constraint.
+/// * [`McsError::NoFeasiblePrice`] — no grid price admits a covering
+///   pool.
+pub fn reference_schedule(
+    instance: &Instance,
+    rule: SelectionRule,
+) -> Result<PriceSchedule, McsError> {
     let dense = instance.coverage_problem();
     dense.check_feasible()?;
     let cover = SparseCoverage::from_dense(&dense);
@@ -1593,7 +1406,7 @@ pub(crate) fn pmf_from_logits(schedule: PriceSchedule, logits: &[f64]) -> PriceP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Coarsening, ScheduleEngine};
+    use crate::engine::ScheduleEngine;
     use mcs_types::{Bid, Bundle, SkillMatrix};
 
     /// Test shorthand for the unified engine.
@@ -1603,6 +1416,22 @@ mod tests {
         strategy: Strategy,
     ) -> Result<PriceSchedule, McsError> {
         ScheduleEngine::new(rule).strategy(strategy).build(inst)
+    }
+
+    /// CELF selection over one candidate pool from scratch, id-sorted —
+    /// the per-interval selection both sweeps must reproduce.
+    fn select_celf(
+        candidates: &[WorkerId],
+        cover: &SparseCoverage,
+        requirements: &[f64],
+    ) -> Result<Vec<WorkerId>, McsError> {
+        let init: Vec<f64> = candidates
+            .iter()
+            .map(|&w| marginal_gain(cover, w, requirements))
+            .collect();
+        let mut winners = celf_sequence(candidates, cover, &init, requirements)?;
+        winners.sort_unstable();
+        Ok(winners)
     }
 
     /// Four workers / two tasks instance used across the tests.
@@ -1718,7 +1547,7 @@ mod tests {
     fn compressed_matches_naive_marginal() {
         let inst = instance();
         let fast = build(&inst, SelectionRule::MarginalCoverage, Strategy::Auto).unwrap();
-        let naive = build(&inst, SelectionRule::MarginalCoverage, Strategy::Naive).unwrap();
+        let naive = reference_schedule(&inst, SelectionRule::MarginalCoverage).unwrap();
         assert_eq!(fast.prices(), naive.prices());
         for i in 0..fast.len() {
             assert_eq!(fast.winners(i), naive.winners(i), "price {}", fast.price(i));
@@ -1729,7 +1558,7 @@ mod tests {
     fn compressed_matches_naive_static() {
         let inst = instance();
         let fast = build(&inst, SelectionRule::StaticTotal, Strategy::Auto).unwrap();
-        let naive = build(&inst, SelectionRule::StaticTotal, Strategy::Naive).unwrap();
+        let naive = reference_schedule(&inst, SelectionRule::StaticTotal).unwrap();
         assert_eq!(fast.prices(), naive.prices());
         for i in 0..fast.len() {
             assert_eq!(fast.winners(i), naive.winners(i));
@@ -1750,8 +1579,9 @@ mod tests {
             ],
             &req,
         );
-        let winners = select_marginal(&candidates, &cover, &req).unwrap();
+        let winners = select_marginal_eager(&candidates, &cover, &req).unwrap();
         assert_eq!(winners, vec![WorkerId(0), WorkerId(1)]);
+        assert_eq!(select_celf(&candidates, &cover, &req).unwrap(), winners);
     }
 
     #[test]
@@ -1773,8 +1603,9 @@ mod tests {
             ],
             &req,
         );
-        let marginal = select_marginal(&candidates, &cover, &req).unwrap();
+        let marginal = select_marginal_eager(&candidates, &cover, &req).unwrap();
         assert_eq!(marginal, vec![WorkerId(0), WorkerId(2)]);
+        assert_eq!(select_celf(&candidates, &cover, &req).unwrap(), marginal);
         let static_sel = select_static(&candidates, &cover, &req).unwrap();
         assert_eq!(static_sel, vec![WorkerId(0), WorkerId(1), WorkerId(2)]);
     }
@@ -1819,7 +1650,7 @@ mod tests {
             let candidates: Vec<WorkerId> = (0..rows.len()).map(|i| WorkerId(i as u32)).collect();
             let cover = cover_of(rows.clone(), &req);
             assert_eq!(
-                select_marginal(&candidates, &cover, &req),
+                select_celf(&candidates, &cover, &req),
                 select_marginal_eager(&candidates, &cover, &req),
                 "rows {rows:?} req {req:?}"
             );
@@ -1840,7 +1671,7 @@ mod tests {
             ],
             &req,
         );
-        let lazy = select_marginal(&candidates, &cover, &req).unwrap();
+        let lazy = select_celf(&candidates, &cover, &req).unwrap();
         let eager = select_marginal_eager(&candidates, &cover, &req).unwrap();
         assert_eq!(lazy, eager);
         // Two winners cover 0.9; the tie-break picks candidates[0] = w2
@@ -1856,7 +1687,7 @@ mod tests {
         let req = [1.0];
         let cover = cover_of(vec![vec![(0usize, 0.3)]], &req);
         for result in [
-            select_marginal(&candidates, &cover, &req),
+            select_celf(&candidates, &cover, &req),
             select_marginal_eager(&candidates, &cover, &req),
             select_static(&candidates, &cover, &req),
         ] {
@@ -1876,10 +1707,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_per_interval_selection_across_prefixes() {
+    fn sweeps_match_per_interval_selection_across_prefixes() {
         // Prefix 3's newcomer is too weak to divert the incumbents (replay
         // confirms); prefix 4's newcomer strictly dominates every step and
-        // forces the warm-started re-selection. Both paths must agree with
+        // forces the warm-started re-selection. Every sweep must agree with
         // selecting each prefix from scratch.
         let req = vec![1.0, 0.2];
         let rows = vec![
@@ -1891,33 +1722,27 @@ mod tests {
         let cover = cover_of(rows, &req);
         let sorted: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
         let prefixes = [2usize, 3, 4];
-        for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-            let swept = sweep_select(rule, &cover, &req, &sorted, &prefixes).unwrap();
-            for (k, &p) in prefixes.iter().enumerate() {
-                let scratch = match rule {
-                    SelectionRule::MarginalCoverage => {
-                        select_marginal(&sorted[..p], &cover, &req).unwrap()
-                    }
-                    SelectionRule::StaticTotal => {
-                        select_static(&sorted[..p], &cover, &req).unwrap()
-                    }
-                };
-                assert_eq!(swept[k], scratch, "rule {rule:?} prefix {p}");
-            }
-            // The dominant newcomer at prefix 4 really does change the
-            // marginal winner set, so the divergent path was exercised.
-            if rule == SelectionRule::MarginalCoverage {
-                assert_ne!(swept[1], swept[2]);
-                assert_eq!(swept[2], vec![WorkerId(3)]);
-            }
+        let incremental = incremental_sweep(&cover, &req, &sorted, &prefixes).unwrap();
+        let indexed = indexed_sweep(&cover, &req, &sorted, &prefixes).unwrap();
+        let static_total = static_sweep(&cover, &req, &sorted, &prefixes).unwrap();
+        for (k, &p) in prefixes.iter().enumerate() {
+            let scratch = select_celf(&sorted[..p], &cover, &req).unwrap();
+            assert_eq!(incremental[k], scratch, "incremental prefix {p}");
+            assert_eq!(indexed[k], scratch, "indexed prefix {p}");
+            let scratch = select_static(&sorted[..p], &cover, &req).unwrap();
+            assert_eq!(static_total[k], scratch, "static prefix {p}");
         }
+        // The dominant newcomer at prefix 4 really does change the
+        // marginal winner set, so the divergent path was exercised.
+        assert_ne!(incremental[1], incremental[2]);
+        assert_eq!(incremental[2], vec![WorkerId(3)]);
     }
 
     #[test]
     fn every_strategy_agrees_on_the_reference_instance() {
         let inst = instance();
         for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-            let reference = build(&inst, rule, Strategy::Auto).unwrap();
+            let reference = reference_schedule(&inst, rule).unwrap();
             for strategy in Strategy::ALL {
                 let s = build(&inst, rule, strategy).unwrap();
                 // The naive reference rebuilds `set_of` from scratch, so
@@ -2177,6 +2002,26 @@ mod tests {
     }
 
     #[test]
+    fn static_sweep_matches_per_prefix_sort_on_tie_patterns() {
+        // Exact static-total ties are where filtering one global order
+        // must still reproduce each prefix's own sort, worker id breaking
+        // the tie — random skills almost never tie, so pin it here.
+        for (rows, req) in tie_pattern_cases() {
+            let sorted: Vec<WorkerId> = (0..rows.len()).map(|i| WorkerId(i as u32)).collect();
+            let cover = cover_of(rows.clone(), &req);
+            // One prefix per call: a multi-prefix sweep stops at the first
+            // uncoverable prefix, which would hide every later one.
+            for p in 1..=sorted.len() {
+                assert_eq!(
+                    static_sweep(&cover, &req, &sorted, &[p]),
+                    select_static(&sorted[..p], &cover, &req).map(|w| vec![w]),
+                    "rows {rows:?} req {req:?} prefix {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn lockstep_chunks_past_the_lane_limit() {
         // 130 near-identical single-task workers, prefixes 61..=130: more
         // prefixes than the 64-lane winner mask holds, all feasible, with
@@ -2201,109 +2046,5 @@ mod tests {
             .map(|&p| celf_sequence(&sorted[..p], &cover, &init[..p], &req))
             .collect();
         assert_eq!(celf.lockstep(&all, &req), expected);
-    }
-
-    #[test]
-    fn indexed_sweep_matches_sweep_select_across_prefixes() {
-        // Same fixture as the incremental-sweep test: prefix 3 confirms,
-        // prefix 4 diverges, so both indexed paths get exercised.
-        let req = vec![1.0, 0.2];
-        let rows = vec![
-            vec![(0usize, 0.6)],
-            vec![(0usize, 0.6), (1usize, 0.2)],
-            vec![(1usize, 0.5)],
-            vec![(0usize, 1.0), (1usize, 1.0)],
-        ];
-        let cover = cover_of(rows, &req);
-        let sorted: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
-        let prefixes = [2usize, 3, 4];
-        for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-            let indexed = indexed_sweep(rule, &cover, &req, &sorted, &prefixes).unwrap();
-            let swept = sweep_select(rule, &cover, &req, &sorted, &prefixes).unwrap();
-            assert_eq!(indexed, swept, "rule {rule:?}");
-        }
-    }
-
-    /// Six identical single-task workers at distinct prices: four
-    /// bidding-price intervals hold grid prices, so coarsening has
-    /// something to skip.
-    fn staircase_instance() -> Instance {
-        let bids: Vec<Bid> = [10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
-            .iter()
-            .map(|&p| Bid::new(Bundle::new(vec![TaskId(0)]), Price::from_f64(p)))
-            .collect();
-        let skills = SkillMatrix::from_rows(vec![vec![0.9]; 6]).unwrap();
-        Instance::builder(1)
-            .bids(bids)
-            .skills(skills)
-            .uniform_error_bound(0.4)
-            .price_grid_f64(10.0, 20.0, 0.5)
-            .cost_range(Price::from_f64(10.0), Price::from_f64(20.0))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn coarsening_off_and_stride_one_are_the_exact_schedule() {
-        let inst = staircase_instance();
-        for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-            let exact = build(&inst, rule, Strategy::Indexed).unwrap();
-            for coarsening in [
-                Coarsening::Off,
-                Coarsening::Stride(0),
-                Coarsening::Stride(1),
-            ] {
-                let s = ScheduleEngine::new(rule)
-                    .strategy(Strategy::Indexed)
-                    .coarsening(coarsening)
-                    .build(&inst)
-                    .unwrap();
-                assert_eq!(s, exact, "{rule:?}/{coarsening:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn coarsened_schedule_respects_the_documented_bound() {
-        let inst = staircase_instance();
-        let cover = inst.coverage_problem();
-        for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-            let exact = build(&inst, rule, Strategy::Auto).unwrap();
-            for stride in [2usize, 3, 10] {
-                for strategy in [Strategy::Auto, Strategy::Incremental, Strategy::Indexed] {
-                    let coarse = ScheduleEngine::new(rule)
-                        .strategy(strategy)
-                        .coarsening(Coarsening::Stride(stride))
-                        .build(&inst)
-                        .unwrap();
-                    // Same feasible price set, fewer distinct winner sets.
-                    assert_eq!(coarse.prices(), exact.prices());
-                    assert!(coarse.num_distinct_sets() <= exact.num_distinct_sets());
-                    // First and last intervals are always evaluated.
-                    assert_eq!(coarse.winners(0), exact.winners(0));
-                    assert_eq!(
-                        coarse.winners(coarse.len() - 1),
-                        exact.winners(exact.len() - 1)
-                    );
-                    for i in 0..coarse.len() {
-                        // Every winner set is feasible and price-feasible.
-                        assert!(cover.is_satisfied_by(coarse.winners(i).iter().copied()));
-                        for &w in coarse.winners(i) {
-                            assert!(inst.bids().bid(w).price() <= coarse.price(i));
-                        }
-                        // Each set is the *exact* set of some evaluated
-                        // price at or below this one — the reuse bound
-                        // R_coarse(p) = (p/r)·R_exact(r).
-                        assert!(
-                            (0..=i).any(|j| coarse.winners(i) == exact.winners(j)),
-                            "{rule:?}/{strategy:?} stride {stride} price {}",
-                            coarse.price(i)
-                        );
-                    }
-                    // The coarse minimum never undercuts the exact one.
-                    assert!(coarse.min_total_payment() >= exact.min_total_payment());
-                }
-            }
-        }
     }
 }

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mcs_auction::{DpHsrcAuction, ScheduledMechanism, Strategy};
+use mcs_auction::{DpHsrcAuction, ScheduledMechanism};
 use mcs_num::rng;
 use mcs_sim::platform::run_round_resilient;
 use mcs_types::McsError;
@@ -57,11 +57,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Back-off hint handed to rejected clients.
     pub retry_after_hint_ms: u64,
-    /// Winner-determination strategy for every schedule the service
-    /// builds. Every strategy yields the identical mechanism output;
-    /// deployments facing very large worker pools set
-    /// [`Strategy::Indexed`] here.
-    pub strategy: Strategy,
     /// Durable round state. `Some` opens (and recovers) a write-ahead
     /// log in the given directory and enables the round-lifecycle
     /// endpoints; `None` (the default) keeps the service stateless and
@@ -78,7 +73,6 @@ impl Default for ServiceConfig {
             max_batch: 16,
             cache_capacity: 32,
             retry_after_hint_ms: 10,
-            strategy: Strategy::Auto,
             durability: None,
         }
     }
@@ -510,11 +504,9 @@ fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             // `batch_key` returned Some, so this arm is unreachable.
             _ => return,
         };
-        let built = shared.cache.get_or_build(key, || {
-            DpHsrcAuction::new(epsilon)?
-                .with_strategy(shared.config.strategy)
-                .pmf(&instance)
-        });
+        let built = shared
+            .cache
+            .get_or_build(key, || DpHsrcAuction::new(epsilon)?.pmf(&instance));
         for job in batch {
             let response = match &built {
                 Err(err) => error_response(err),
@@ -549,7 +541,6 @@ fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             } => match DpHsrcAuction::new(*epsilon) {
                 Err(err) => error_response(&err),
                 Ok(auction) => {
-                    let auction = auction.with_strategy(shared.config.strategy);
                     let mut r = rng::seeded(*seed);
                     match run_round_resilient(instance, types, &auction, plan, config, &mut r) {
                         Ok(report) => Response::Round(Box::new(report)),

@@ -393,50 +393,6 @@ fn invalid_epsilon_is_a_typed_error() {
     service.shutdown();
 }
 
-/// The configured winner-determination strategy changes only the cost
-/// profile of schedule builds, never the mechanism output: a service
-/// pinned to the indexed engine answers with the identical PMF and the
-/// identical seeded outcomes as a default-strategy service.
-#[test]
-fn indexed_strategy_service_matches_default() {
-    let default_service = Service::start(ServiceConfig::default());
-    let indexed_service = Service::start(ServiceConfig {
-        strategy: mcs_auction::Strategy::Indexed,
-        ..ServiceConfig::default()
-    });
-    let (instance, _) = small(17);
-    let query = |service: &Service| {
-        let client = service.client();
-        match client.call(Request::QueryPmf {
-            instance: instance.clone(),
-            epsilon: 0.3,
-        }) {
-            Response::Pmf(summary) => summary,
-            other => panic!("expected a PMF, got {other:?}"),
-        }
-    };
-    let a = query(&default_service);
-    let b = query(&indexed_service);
-    assert_eq!(a.prices, b.prices);
-    assert_eq!(a.probs, b.probs);
-
-    let run = |service: &Service| {
-        let client = service.client();
-        match client.call(Request::RunAuction {
-            instance: instance.clone(),
-            epsilon: 0.3,
-            seed: 42,
-        }) {
-            Response::Outcome(outcome) => outcome,
-            other => panic!("expected an outcome, got {other:?}"),
-        }
-    };
-    assert_eq!(run(&default_service), run(&indexed_service));
-
-    default_service.shutdown();
-    indexed_service.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Durable rounds over TCP
 

@@ -21,9 +21,9 @@
 //!
 //! Everything adversarial draws from derived RNG streams keyed off the
 //! plan seed (the same discipline as [`crate::faults`]): a campaign with
-//! a benign plan consumes the main RNG stream *identically* to the legacy
-//! [`crate::platform::Campaign::run`] loop, which is what the
-//! `campaign_equivalence` differential suite in `mcs-verify` pins.
+//! a benign plan consumes the main RNG stream *identically* to the
+//! original multi-round loop, which is what the `campaign_equivalence`
+//! differential suite in `mcs-verify` pins against a verbatim copy of it.
 
 mod adversary;
 mod engine;

@@ -11,14 +11,12 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mcs_agg::{
-    achieved_coverage, generate_labels, weighted_aggregate, DawidSkene, Label, LabelSet,
-};
+use mcs_agg::{achieved_coverage, generate_labels, weighted_aggregate, Label, LabelSet};
 use mcs_types::{Bundle, CoverageView, Instance, McsError, Price, TaskId, TrueType, WorkerId};
 
-use mcs_auction::{AuctionOutcome, DpHsrcAuction, Mechanism, ScheduledMechanism};
+use mcs_auction::{AuctionOutcome, Mechanism, ScheduledMechanism};
 
-use crate::campaign::{run_campaign, CampaignSpec, RoundPhase, RoundState, SkillSource};
+use crate::campaign::{RoundPhase, RoundState};
 use crate::faults::{
     achieved_delta, filter_labels, CompletionSampler, CoverageShortfall, FateCounts, FaultInjector,
     FaultPlan, WorkerFate,
@@ -166,6 +164,7 @@ where
 mod tests {
     use super::*;
     use crate::Setting;
+    use mcs_auction::DpHsrcAuction;
     use mcs_num::rng;
     use mcs_types::TaskId;
 
@@ -236,184 +235,6 @@ mod tests {
         let mut r = rng::seeded(5);
         let report = run_round(&inst, &types, &DpHsrcAuction::new(0.1).unwrap(), &mut r).unwrap();
         assert!(report.accuracy() > 0.5);
-    }
-}
-
-/// A multi-round sensing campaign: the platform repeatedly auctions the
-/// task set, collects labels, and — optionally — replaces its skill record
-/// `θ` with Dawid–Skene estimates from the labels gathered so far.
-///
-/// This closes the loop the paper leaves open in §III-A ("the issue of
-/// exactly which method is used by the platform to calculate θ is
-/// application dependent"): it shows the auction still performing when the
-/// platform's knowledge of `θ` is *learned* rather than given.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Campaign {
-    /// Privacy budget per auction round.
-    pub epsilon: f64,
-    /// Number of rounds.
-    pub rounds: usize,
-    /// After each round, refit worker accuracies by EM and run the next
-    /// auction on the estimated skill matrix.
-    pub reestimate_skills: bool,
-}
-
-/// The outcome of a campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignReport {
-    /// Per-round reports, in order.
-    pub rounds: Vec<RoundReport>,
-    /// Total spend across all rounds.
-    pub total_spend: Price,
-    /// Mean per-round aggregation accuracy.
-    pub mean_accuracy: f64,
-    /// Mean absolute error of the final per-worker accuracy estimates
-    /// against the true mean skills (only when re-estimating).
-    pub final_skill_error: Option<f64>,
-    /// Rounds where the estimated skills looked uncoverable and the
-    /// auction fell back to the platform's prior skill record.
-    pub fallback_rounds: usize,
-}
-
-impl Campaign {
-    /// Runs the campaign on an instance with known true types.
-    ///
-    /// Labels are always *generated* from the true skills; when
-    /// [`Campaign::reestimate_skills`] is set, the *auction* (winner
-    /// selection and error-bound accounting) runs against the platform's
-    /// current estimate instead, exactly like a deployed platform that
-    /// only observes labels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates auction errors from any round; an estimate-driven round
-    /// that becomes infeasible (the estimated skills look too weak to
-    /// cover) falls back to the true-skill instance for that round rather
-    /// than aborting the campaign.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        instance: &Instance,
-        types: &[TrueType],
-        rng: &mut R,
-    ) -> Result<CampaignReport, McsError> {
-        let mechanism = match DpHsrcAuction::new(self.epsilon) {
-            Ok(m) => m,
-            // The pre-refactor loop built the auction inside each round,
-            // so a zero-round campaign never validated ε at all; keep
-            // that observable behaviour.
-            Err(_) if self.rounds == 0 => return Ok(self.empty_report(instance)),
-            Err(e) => return Err(e),
-        };
-        let spec = CampaignSpec {
-            rounds: self.rounds,
-            skills: if self.reestimate_skills {
-                SkillSource::RefitEachRound
-            } else {
-                SkillSource::Known
-            },
-            ..CampaignSpec::benign(self.rounds)
-        };
-        let outcome = run_campaign(&spec, &mechanism, instance, types, rng)?;
-        Ok(CampaignReport {
-            rounds: outcome.rounds,
-            total_spend: outcome.total_spend,
-            mean_accuracy: outcome.mean_accuracy,
-            final_skill_error: outcome.final_skill_error,
-            fallback_rounds: outcome.fallback_rounds,
-        })
-    }
-
-    /// The report of a campaign with no rounds, with the legacy closing
-    /// refit (a Dawid–Skene fit over zero observations) when
-    /// re-estimating.
-    fn empty_report(&self, instance: &Instance) -> CampaignReport {
-        let final_skill_error = self.reestimate_skills.then(|| {
-            let all_labels = LabelSet::new(instance.num_tasks());
-            let fit = DawidSkene::default().fit(&all_labels, instance.num_workers());
-            let mut err = 0.0;
-            for i in 0..instance.num_workers() {
-                let w = WorkerId(i as u32);
-                let true_mean: f64 = instance.skills().worker_row(w).iter().sum::<f64>()
-                    / instance.num_tasks() as f64;
-                let est = fit.accuracies[i];
-                err += (est - true_mean).abs().min((1.0 - est - true_mean).abs());
-            }
-            err / instance.num_workers() as f64
-        });
-        CampaignReport {
-            rounds: Vec::new(),
-            total_spend: Price::ZERO,
-            mean_accuracy: 1.0,
-            final_skill_error,
-            fallback_rounds: 0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod campaign_tests {
-    use super::*;
-    use crate::Setting;
-    use mcs_num::rng;
-
-    fn small() -> (Instance, Vec<TrueType>) {
-        let g = Setting::one(80).scaled_down(4).generate(55);
-        (g.instance, g.types)
-    }
-
-    #[test]
-    fn campaign_accumulates_spend_and_rounds() {
-        let (inst, types) = small();
-        let mut r = rng::seeded(7);
-        let campaign = Campaign {
-            epsilon: 0.1,
-            rounds: 4,
-            reestimate_skills: false,
-        };
-        let report = campaign.run(&inst, &types, &mut r).unwrap();
-        assert_eq!(report.rounds.len(), 4);
-        let sum: Price = report
-            .rounds
-            .iter()
-            .map(|rr| rr.outcome.total_payment())
-            .sum();
-        assert_eq!(report.total_spend, sum);
-        assert!(report.final_skill_error.is_none());
-        assert!(report.mean_accuracy > 0.5);
-    }
-
-    #[test]
-    fn reestimation_keeps_the_campaign_running() {
-        let (inst, types) = small();
-        let mut r = rng::seeded(8);
-        let campaign = Campaign {
-            epsilon: 0.1,
-            rounds: 5,
-            reestimate_skills: true,
-        };
-        let report = campaign.run(&inst, &types, &mut r).unwrap();
-        assert_eq!(report.rounds.len(), 5);
-        // Skill estimates should land in the right ballpark after five
-        // rounds of labels.
-        let err = report.final_skill_error.unwrap();
-        assert!(err < 0.25, "mean |theta_hat - theta| = {err}");
-        assert!(report.mean_accuracy > 0.5);
-    }
-
-    #[test]
-    fn zero_round_campaign_is_empty() {
-        let (inst, types) = small();
-        let mut r = rng::seeded(9);
-        let report = Campaign {
-            epsilon: 0.1,
-            rounds: 0,
-            reestimate_skills: false,
-        }
-        .run(&inst, &types, &mut r)
-        .unwrap();
-        assert!(report.rounds.is_empty());
-        assert_eq!(report.total_spend, Price::ZERO);
-        assert_eq!(report.mean_accuracy, 1.0);
     }
 }
 
@@ -703,6 +524,7 @@ where
 mod resilient_tests {
     use super::*;
     use crate::Setting;
+    use mcs_auction::DpHsrcAuction;
     use mcs_num::rng;
 
     fn small(seed: u64) -> (Instance, Vec<TrueType>) {

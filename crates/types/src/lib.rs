@@ -52,7 +52,6 @@
 
 mod bid;
 mod bundle;
-mod candidate;
 mod completion;
 mod coverage;
 mod digest;
@@ -64,7 +63,6 @@ mod skill;
 
 pub use bid::{Bid, BidProfile, TrueType};
 pub use bundle::Bundle;
-pub use candidate::CandidateIndex;
 pub use completion::{
     chance_quota, chernoff_shortfall_bound, BernoulliCompletion, CompletionModel, UncertainCoverage,
 };

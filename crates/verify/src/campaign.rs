@@ -1,8 +1,8 @@
 //! Campaign differential: the shared-lifecycle engine against a verbatim
 //! port of the legacy multi-round runner.
 //!
-//! [`mcs_sim::campaign::run_campaign`] replaced the original
-//! `Campaign::run` loop with a [`RoundState`]-driven engine that also
+//! [`mcs_sim::campaign::run_campaign`] replaced the original multi-round
+//! campaign loop with a [`RoundState`]-driven engine that also
 //! carries skill tracking, reputation gating, adversaries and a per-round
 //! ε-DP audit. The refactor's core claim is that on *benign* inputs (no
 //! adversaries, no gate, no audit) the engine is byte-identical to the
@@ -24,7 +24,7 @@ use mcs_sim::campaign::{
     run_campaign, AdversaryGroup, AdversaryPlan, AdversaryStrategy, CampaignSpec, DpAuditConfig,
     ReputationConfig, SkillSource,
 };
-use mcs_sim::platform::{CampaignReport, RoundReport};
+use mcs_sim::platform::RoundReport;
 use mcs_types::{Bundle, Instance, McsError, Price, SkillMatrix, TrueType, WorkerId};
 
 /// Derivation stream of campaign-check RNGs ("CMPV").
@@ -87,13 +87,31 @@ pub fn truthful_types(instance: &Instance) -> Vec<TrueType> {
         .collect()
 }
 
+/// What the pre-refactor campaign loop reported.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LegacyCampaignReport {
+    /// Per-round reports, in order.
+    pub rounds: Vec<RoundReport>,
+    /// Total spend across all rounds.
+    pub total_spend: Price,
+    /// Mean per-round aggregation accuracy.
+    pub mean_accuracy: f64,
+    /// Mean absolute error of the final per-worker accuracy estimates
+    /// against the true mean skills (only when re-estimating).
+    pub final_skill_error: Option<f64>,
+    /// Rounds where the estimated skills looked uncoverable and the
+    /// auction fell back to the platform's prior skill record.
+    pub fallback_rounds: usize,
+}
+
 /// The pre-refactor campaign loop, verbatim, made generic over the
 /// mechanism — the oracle the lifecycle engine is differenced against.
 ///
-/// This is the exact body `Campaign::run` shipped with (auction on the
-/// current belief, true-skill label generation, belief-weighted
-/// aggregation, optional cold Dawid–Skene refit per round, flip-folded
-/// final skill error), with `DpHsrcAuction::new(self.epsilon)?` hoisted
+/// This is the exact body the original `Campaign::run` shipped with
+/// (auction on the current belief, true-skill label generation,
+/// belief-weighted aggregation, optional cold Dawid–Skene refit per
+/// round, flip-folded final skill error), with
+/// `DpHsrcAuction::new(self.epsilon)?` hoisted
 /// into the caller-supplied `mechanism` — that call only validated ε and
 /// never drew from the RNG, so hoisting preserves the stream.
 ///
@@ -109,7 +127,7 @@ pub fn legacy_campaign<M, R>(
     instance: &Instance,
     types: &[TrueType],
     rng: &mut R,
-) -> Result<CampaignReport, McsError>
+) -> Result<LegacyCampaignReport, McsError>
 where
     M: ScheduledMechanism,
     R: Rng + ?Sized,
@@ -202,7 +220,7 @@ where
         err / instance.num_workers() as f64
     });
 
-    Ok(CampaignReport {
+    Ok(LegacyCampaignReport {
         rounds: reports,
         total_spend,
         mean_accuracy,
@@ -394,38 +412,6 @@ pub fn check_campaign(
 mod tests {
     use super::*;
     use crate::gen::{generate, Shape};
-    use mcs_sim::platform::Campaign;
-
-    /// The oracle must match the *shipping* adapter (`Campaign::run`),
-    /// closing the triangle oracle ≡ legacy API ≡ lifecycle engine.
-    #[test]
-    fn oracle_matches_shipping_campaign_adapter() {
-        for seed in 0..10u64 {
-            let instance = generate(Shape::AdversarialCampaign, seed);
-            let types = truthful_types(&instance);
-            for reestimate in [false, true] {
-                let mechanism = DpHsrcAuction::new(0.5).unwrap();
-                let mut r_oracle = rng::derived(seed, 77);
-                let mut r_ship = rng::derived(seed, 77);
-                let oracle =
-                    legacy_campaign(&mechanism, 3, reestimate, &instance, &types, &mut r_oracle)
-                        .unwrap();
-                let shipping = Campaign {
-                    epsilon: 0.5,
-                    rounds: 3,
-                    reestimate_skills: reestimate,
-                }
-                .run(&instance, &types, &mut r_ship)
-                .unwrap();
-                assert_eq!(oracle, shipping, "seed {seed} reestimate {reestimate}");
-                assert_eq!(
-                    r_oracle.gen::<u64>(),
-                    r_ship.gen::<u64>(),
-                    "seed {seed} reestimate {reestimate}: RNG streams diverged"
-                );
-            }
-        }
-    }
 
     #[test]
     fn campaign_check_passes_on_generated_instances() {

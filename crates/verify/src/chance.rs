@@ -24,11 +24,12 @@
 //!    to 1 ([`CompletionModel::with_unit_probabilities`]) and dropping
 //!    the model entirely must produce byte-identical schedules (prices,
 //!    winners, per-entry payments), identical `min_total_payment`, and
-//!    identical instance digests across **every** strategy and selection
-//!    rule. The uncertain layer is provably pay-for-what-you-use: no
-//!    probability strictly below one, no behavior change anywhere.
+//!    identical instance digests across **every** strategy, the naive
+//!    reference, and both selection rules. The uncertain layer is
+//!    provably pay-for-what-you-use: no probability strictly below one,
+//!    no behavior change anywhere.
 
-use mcs_auction::{ScheduleEngine, SelectionRule, Strategy};
+use mcs_auction::{reference_schedule, ScheduleEngine, SelectionRule, Strategy};
 use mcs_num::{rate_consistent_with_bound, rng};
 use mcs_types::{
     chernoff_shortfall_bound, CompletionModel, CoverageView, Instance, TaskId, WorkerId,
@@ -192,7 +193,8 @@ pub fn check_instance(
 /// Proves the `p = 1` degenerate invariant on one instance: the all-ones
 /// Bernoulli model and the plain deterministic model yield byte-identical
 /// digests, schedules, per-entry payments, and `min_total_payment` for
-/// **every** strategy under **both** selection rules.
+/// **every** strategy and the naive reference under **both** selection
+/// rules.
 ///
 /// # Errors
 ///
@@ -221,9 +223,13 @@ pub fn check_unit_reduction(
     }
 
     for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-        for strategy in Strategy::ALL {
-            let a = ScheduleEngine::new(rule).strategy(strategy).build(&unit);
-            let b = ScheduleEngine::new(rule).strategy(strategy).build(&det);
+        // Every strategy, then (`None`) the naive reference.
+        for strategy in Strategy::ALL.map(Some).into_iter().chain([None]) {
+            let build = |inst: &Instance| match strategy {
+                Some(s) => ScheduleEngine::new(rule).strategy(s).build(inst),
+                None => reference_schedule(inst, rule),
+            };
+            let (a, b) = (build(&unit), build(&det));
             let agree = match (&a, &b) {
                 (Ok(a), Ok(b)) => {
                     a.prices() == b.prices()
@@ -243,7 +249,7 @@ pub fn check_unit_reduction(
                     format!("unit-reduction/{rule:?}").as_str(),
                     format!(
                         "strategy {} diverges between all-ones Bernoulli and deterministic",
-                        strategy.name()
+                        strategy.map_or("reference", Strategy::name)
                     ),
                 ));
             }

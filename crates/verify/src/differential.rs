@@ -1,22 +1,21 @@
-//! Differential testing of every schedule strategy against the others
-//! and against the exact ILP optimum.
+//! Differential testing of every schedule strategy against the naive
+//! reference and against the exact ILP optimum.
 //!
-//! The strategies share an *intended* contract — identical winner
-//! sequences at every grid price, tie-breaking included — but share as
-//! little code as their implementations allow (the naive reference
-//! recomputes every price independently; the incremental engine sweeps
-//! ascending price intervals reusing residual state; the indexed engine
-//! walks one global rank order with challenger replay). Because the
-//! engines are now enumerable data ([`Strategy::ALL`]) rather than a
-//! hand-maintained list of function names, a strategy added to the core
-//! crate is compared here automatically. This module asserts, per
-//! instance:
+//! The engines share an *intended* contract — identical winner sequences
+//! at every grid price, tie-breaking included — but share as little code
+//! as their implementations allow: [`reference_schedule`] recomputes
+//! every price independently with full rescans, the incremental engine
+//! sweeps ascending price intervals reusing residual state, and the
+//! indexed engine walks one global rank order with every interval in
+//! lockstep. Because the strategies are enumerable data
+//! ([`Strategy::ALL`]), a strategy added to the core crate is compared
+//! here automatically. This module asserts, per instance:
 //!
-//! 1. **Engine agreement** — every [`Strategy`] produces equal
+//! 1. **Engine agreement** — every [`Strategy`] and, up to
+//!    [`REFERENCE_WORKER_LIMIT`] workers, the reference produce equal
 //!    [`PriceSchedule`]s under both selection rules, or all fail with the
-//!    same error kind. Above [`SCALABLE_ONLY_ABOVE`] workers only
-//!    [`Strategy::SCALABLE`] runs: the eager/naive/dense references are
-//!    quadratic (or dense) in the pool and would dominate the sweep.
+//!    same error kind. Above the limit the reference's per-price full
+//!    rescans would dominate the sweep, so only the strategies run.
 //! 2. **Covering invariants** — every winner set satisfies
 //!    `Σ q_ij ≥ Q'_j` on all tasks, every winner's bid is at or below
 //!    the posted price, and prices ascend along the schedule.
@@ -29,7 +28,7 @@
 //!
 //! Failures shrink through [`minimize`] before being reported.
 
-use mcs_auction::{PriceSchedule, ScheduleEngine, SelectionRule, Strategy};
+use mcs_auction::{reference_schedule, PriceSchedule, ScheduleEngine, SelectionRule, Strategy};
 use mcs_ilp::{solve_exhaustive, BnbOptions, CoveringIlp, IlpStatus};
 use mcs_sim::experiments::harmonic;
 use mcs_types::{Bid, Bundle, CoverageView, Instance, McsError, SkillMatrix, TaskId, WorkerId};
@@ -47,11 +46,11 @@ const RATIO_TASK_LIMIT: usize = 64;
 /// Worker counts above this skip the ILP ratio check: branch-and-bound
 /// over thousands of binary variables would never close the gap.
 const RATIO_WORKER_LIMIT: usize = 256;
-/// Worker counts above this restrict the agreement check to
-/// [`Strategy::SCALABLE`]: the eager/naive rescans are quadratic in the
-/// pool and the dense path materializes `N × K` cells, so on the
-/// many-workers shape they would be the bottleneck, not the subject.
-const SCALABLE_ONLY_ABOVE: usize = 256;
+/// Worker counts above this leave [`reference_schedule`] out of the
+/// agreement check: its per-price full rescans are quadratic in the pool
+/// and it materializes `N × K` cells, so on the many-workers shape it
+/// would be the bottleneck, not the subject.
+const REFERENCE_WORKER_LIMIT: usize = 256;
 /// Worker counts above this skip the one-at-a-time shrinking pass, which
 /// is quadratic in the pool size; the unshrunk instance is reported.
 const MINIMIZE_WORKER_LIMIT: usize = 512;
@@ -113,13 +112,8 @@ pub fn check_instance(
 
 /// Returns `(check, detail)` for the first violated invariant, if any.
 fn failure(instance: &Instance) -> Option<(String, String)> {
-    let strategies: &[Strategy] = if instance.num_workers() > SCALABLE_ONLY_ABOVE {
-        &Strategy::SCALABLE
-    } else {
-        &Strategy::ALL
-    };
     for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
-        let results: Vec<(&str, Result<PriceSchedule, McsError>)> = strategies
+        let mut results: Vec<(&str, Result<PriceSchedule, McsError>)> = Strategy::ALL
             .iter()
             .map(|&s| {
                 (
@@ -128,6 +122,9 @@ fn failure(instance: &Instance) -> Option<(String, String)> {
                 )
             })
             .collect();
+        if instance.num_workers() <= REFERENCE_WORKER_LIMIT {
+            results.push(("reference", reference_schedule(instance, rule)));
+        }
         if let Some(f) = engine_disagreement(rule, &results) {
             return Some(f);
         }
@@ -497,10 +494,9 @@ mod tests {
     #[test]
     fn large_sparse_smoke_passes_without_ilp() {
         // Debug-mode smoke: sized instances keep the per-engine cost down
-        // while still exercising every strategy's agreement (including
-        // the incremental sweep and the indexed engine) on CSR-heavy
-        // inputs. The task count sits above RATIO_TASK_LIMIT so the ILP
-        // ratio check must skip.
+        // while still exercising every strategy's agreement with the
+        // reference on CSR-heavy inputs. The task count sits above
+        // RATIO_TASK_LIMIT so the ILP ratio check must skip.
         for seed in 0..2u64 {
             let inst = crate::gen::large_sparse_sized(800, seed);
             let stats = check_instance(Shape::LargeSparse, seed, &inst)
@@ -511,16 +507,40 @@ mod tests {
     }
 
     #[test]
-    fn many_workers_smoke_compares_scalable_strategies() {
-        // The pool sits above SCALABLE_ONLY_ABOVE, so only the scalable
-        // strategies (lazy, incremental, indexed, auto) are compared,
-        // and above RATIO_WORKER_LIMIT so the ILP is gated off.
+    fn many_workers_smoke_compares_strategies_without_reference() {
+        // The pool sits above REFERENCE_WORKER_LIMIT, so only the
+        // strategies (auto, incremental, indexed) are compared, and above
+        // RATIO_WORKER_LIMIT so the ILP is gated off.
         for seed in 0..2u64 {
             let inst = crate::gen::many_workers_sized(2_000, seed);
             let stats = check_instance(Shape::ManyWorkers, seed, &inst)
                 .unwrap_or_else(|report| panic!("{report}"));
             assert_eq!(stats.agreed_ok, 1);
             assert_eq!(stats.ilp_checked, 0, "ratio check should be gated off");
+        }
+    }
+
+    #[test]
+    fn auto_matches_the_forced_engine_on_each_side_of_the_threshold() {
+        // Just below the constant Auto must be the incremental sweep, at
+        // it the indexed engine — and byte-identical to that engine
+        // forced, interval compression included, under both rules.
+        let threshold = Strategy::INDEXED_FROM_WORKERS;
+        for (n, engine) in [
+            (threshold - 1, Strategy::Incremental),
+            (threshold, Strategy::Indexed),
+        ] {
+            let inst = crate::gen::many_workers_sized(n, 5);
+            assert_eq!(inst.num_workers(), n);
+            assert_eq!(Strategy::Auto.resolve(n), engine);
+            for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
+                let auto = ScheduleEngine::new(rule).build(&inst).expect("feasible");
+                let forced = ScheduleEngine::new(rule)
+                    .strategy(engine)
+                    .build(&inst)
+                    .expect("feasible");
+                assert_eq!(auto, forced, "N = {n}, {rule:?}");
+            }
         }
     }
 

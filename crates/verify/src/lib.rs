@@ -3,8 +3,8 @@
 //! Unit tests in the other crates check components in isolation; this
 //! crate checks the *claims that tie them together*:
 //!
-//! * [`differential`] — the four schedule engines (default, serial lazy,
-//!   eager, and naive per-price reference) must produce equivalent
+//! * [`differential`] — every schedule strategy (auto, incremental,
+//!   indexed) and the naive per-price reference must produce equivalent
 //!   outcomes on the same instance, every winning set must satisfy its
 //!   covering constraints, and greedy cardinality must stay within the
 //!   paper's `2βH_m` factor of the exact ILP optimum.

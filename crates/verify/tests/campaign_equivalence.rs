@@ -1,16 +1,13 @@
 //! Campaign-lifecycle differential: the refactored engine against the
-//! legacy loop, across every winner-determination strategy and both
-//! mechanisms.
+//! legacy loop, across both mechanisms and both skill sources.
 //!
-//! The refactor's byte-identity claim must hold whatever schedule engine
-//! fills the winner sets, because strategy equivalence and campaign
-//! equivalence compose: each (strategy, mechanism) pair runs the full
-//! legacy oracle and the lifecycle engine from the same seed and demands
-//! identical reports and an identical RNG stream position afterwards.
+//! Each (mechanism, skill-source) pair runs the full legacy oracle and
+//! the lifecycle engine from the same seed and demands identical reports
+//! and an identical RNG stream position afterwards.
 
 use rand::Rng;
 
-use mcs_auction::{BaselineAuction, DpHsrcAuction, Strategy};
+use mcs_auction::{BaselineAuction, DpHsrcAuction};
 use mcs_num::rng;
 use mcs_sim::campaign::{
     run_campaign, AdversaryGroup, AdversaryPlan, AdversaryStrategy, CampaignSpec, SkillSource,
@@ -21,34 +18,26 @@ use mcs_verify::gen::{generate, Shape};
 /// Privacy budgets cycled across seeds.
 const EPSILONS: [f64; 3] = [0.1, 0.5, 2.0];
 
-/// ≥ 100 seeds, cycling the full (strategy × mechanism × skill-source)
-/// matrix: with 7 strategies and 2 mechanisms each combination is hit by
-/// 8 different seeds, half with known and half with re-estimated skills.
+/// 112 seeds, cycling the (mechanism × skill-source) matrix: each of the
+/// four combinations is hit by 28 different seeds, across all three
+/// privacy budgets.
 #[test]
-fn benign_campaigns_match_legacy_across_strategies_and_mechanisms() {
-    let configs = Strategy::ALL.len() * 2;
-    let seeds = 8 * configs as u64; // 112
-    for seed in 0..seeds {
-        let strategy = Strategy::ALL[seed as usize % Strategy::ALL.len()];
-        let use_baseline = (seed as usize / Strategy::ALL.len()) % 2 == 1;
-        let reestimate = (seed / configs as u64) % 2 == 1;
+fn benign_campaigns_match_legacy_across_mechanisms() {
+    for seed in 0..112u64 {
+        let use_baseline = seed % 2 == 1;
+        let reestimate = (seed / 2) % 2 == 1;
         let epsilon = EPSILONS[seed as usize % EPSILONS.len()];
         let instance = generate(Shape::AdversarialCampaign, seed);
         let result = if use_baseline {
-            let mechanism = BaselineAuction::new(epsilon)
-                .expect("valid ε")
-                .with_strategy(strategy);
+            let mechanism = BaselineAuction::new(epsilon).expect("valid ε");
             check_equivalence(&mechanism, reestimate, &instance, seed)
         } else {
-            let mechanism = DpHsrcAuction::new(epsilon)
-                .expect("valid ε")
-                .with_strategy(strategy);
+            let mechanism = DpHsrcAuction::new(epsilon).expect("valid ε");
             check_equivalence(&mechanism, reestimate, &instance, seed)
         };
         result.unwrap_or_else(|m| {
             panic!(
-                "seed {seed} ({:?}, {}, {} skills, ε = {epsilon}): {m}",
-                strategy,
+                "seed {seed} ({}, {} skills, ε = {epsilon}): {m}",
                 if use_baseline { "baseline" } else { "dp-hsrc" },
                 if reestimate { "re-estimated" } else { "known" },
             )
@@ -69,33 +58,6 @@ fn adversarial_audit_passes_under_both_mechanisms() {
         let baseline = BaselineAuction::new(epsilon).expect("valid ε");
         check_adversarial(&baseline, &instance, seed)
             .unwrap_or_else(|m| panic!("seed {seed} baseline: {m}"));
-    }
-}
-
-/// A benign spec run through the public `run_campaign` with each
-/// strategy produces the *same* outcome as the default strategy: the
-/// winner-determination strategy is a cost profile, never a behaviour
-/// change, even across a full multi-round campaign.
-#[test]
-fn strategies_are_outcome_invisible_across_a_campaign() {
-    for seed in 0..6u64 {
-        let instance = generate(Shape::AdversarialCampaign, seed);
-        let types = truthful_types(&instance);
-        let spec = CampaignSpec::benign(3);
-        let reference = {
-            let mechanism = DpHsrcAuction::new(0.5).expect("valid ε");
-            let mut r = rng::derived(seed, 0x51);
-            run_campaign(&spec, &mechanism, &instance, &types, &mut r).expect("campaign runs")
-        };
-        for strategy in Strategy::ALL {
-            let mechanism = DpHsrcAuction::new(0.5)
-                .expect("valid ε")
-                .with_strategy(strategy);
-            let mut r = rng::derived(seed, 0x51);
-            let outcome =
-                run_campaign(&spec, &mechanism, &instance, &types, &mut r).expect("campaign runs");
-            assert_eq!(outcome, reference, "seed {seed} strategy {strategy:?}");
-        }
     }
 }
 

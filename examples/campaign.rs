@@ -9,8 +9,8 @@
 //! cargo run --release --example campaign
 //! ```
 
-use dp_mcs::sim::platform::Campaign;
-use dp_mcs::Setting;
+use dp_mcs::sim::campaign::{run_campaign, CampaignSpec, SkillSource};
+use dp_mcs::{DpHsrcAuction, Setting};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-worker skills (θ_i uniform across tasks, drawn from
@@ -24,14 +24,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     setting.theta_range = (0.55, 0.95);
     let generated = setting.generate(33);
 
-    for (label, reestimate) in [("oracle θ", false), ("learned θ", true)] {
-        let campaign = Campaign {
-            epsilon: 0.1,
-            rounds: 6,
-            reestimate_skills: reestimate,
+    let mechanism = DpHsrcAuction::new(0.1)?;
+    for (label, skills) in [
+        ("oracle θ", SkillSource::Known),
+        ("learned θ", SkillSource::RefitEachRound),
+    ] {
+        let spec = CampaignSpec {
+            skills,
+            ..CampaignSpec::benign(6)
         };
         let mut r = dp_mcs::num::rng::seeded(7);
-        let report = campaign.run(&generated.instance, &generated.types, &mut r)?;
+        let report = run_campaign(
+            &spec,
+            &mechanism,
+            &generated.instance,
+            &generated.types,
+            &mut r,
+        )?;
         println!("--- campaign with {label} ---");
         for (i, round) in report.rounds.iter().enumerate() {
             println!(

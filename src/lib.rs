@@ -67,8 +67,8 @@ pub use mcs_sim as sim;
 pub use mcs_types as types;
 
 pub use mcs_auction::{
-    AuctionOutcome, BaselineAuction, Coarsening, DpHsrcAuction, Mechanism, OptimalMechanism,
-    PricePmf, PriceSchedule, ScheduleEngine, ScheduledMechanism, SelectionRule, Strategy,
+    AuctionOutcome, BaselineAuction, DpHsrcAuction, Mechanism, OptimalMechanism, PricePmf,
+    PriceSchedule, ScheduleEngine, ScheduledMechanism, SelectionRule, Strategy,
 };
 pub use mcs_sim::Setting;
 pub use mcs_types::{

@@ -1,23 +1,21 @@
 //! Property-based equivalence of every schedule strategy against the
 //! naive full-rescan reference.
 //!
-//! The fast engines cache stale marginal-coverage upper bounds (the CELF
-//! heap, the indexed engine's global rank order) and reuse residual state
+//! The engines cache stale marginal-coverage upper bounds (the CELF heap,
+//! the indexed engine's global rank order) and reuse residual state
 //! across price intervals; submodularity makes that safe, but the *exact*
 //! winner sequence (including float tie-breaking) must still match the
 //! reference winner-for-winner — the privacy and payment analyses
 //! quantify over the schedule, so any divergence is a correctness bug,
-//! not a performance trade-off. Coarsening is the one knob that is
-//! *allowed* to change the schedule, and its proptest pins exactly how
-//! far: reused winner sets come from cheaper evaluated prices, so the
-//! minimum total payment never drops below the exact schedule's.
+//! not a performance trade-off.
 
 use proptest::prelude::*;
 
+use dp_mcs::auction::reference_schedule;
 use dp_mcs::types::{CoverageView, SparseCoverage, DEFAULT_THETA};
 use dp_mcs::{
-    Bid, Coarsening, DpHsrcAuction, Instance, PriceSchedule, ScheduleEngine, ScheduledMechanism,
-    SelectionRule, Setting, SkillMatrix, Strategy, TaskId, WorkerId,
+    Bid, DpHsrcAuction, Instance, PriceSchedule, ScheduleEngine, ScheduledMechanism, SelectionRule,
+    Setting, SkillMatrix, Strategy, TaskId, WorkerId,
 };
 use mcs_verify::gen::{self, Shape};
 
@@ -25,7 +23,7 @@ fn small_setting(workers: usize) -> Setting {
     Setting::one(workers.max(8) * 4).scaled_down(4)
 }
 
-/// Builds with one strategy, coarsening off.
+/// Builds with one strategy.
 fn build(instance: &Instance, rule: SelectionRule, strategy: Strategy) -> PriceSchedule {
     ScheduleEngine::new(rule)
         .strategy(strategy)
@@ -85,9 +83,9 @@ fn dense_and_sparse_built(instance: &Instance) -> (Instance, Instance) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The default engine (lazy; parallel when the feature is on) matches
-    /// the naive per-price reference exactly — same prices, same winner
-    /// sets in the same order — for both selection rules.
+    /// The default engine matches the naive per-price reference exactly —
+    /// same prices, same winner sets in the same order — for both
+    /// selection rules.
     #[test]
     fn default_engine_matches_naive(
         seed in 0u64..1000,
@@ -101,17 +99,15 @@ proptest! {
         };
         let g = small_setting(workers).generate(seed);
         let fast = build(&g.instance, rule, Strategy::Auto);
-        let naive = build(&g.instance, rule, Strategy::Naive);
+        let naive = reference_schedule(&g.instance, rule).expect("coverable");
         assert_observationally_equal(&fast, &naive, "default vs naive");
     }
 
     /// Every strategy agrees with the default engine winner-for-winner,
-    /// so the `parallel` feature, the CELF cache, the incremental sweep's
-    /// residual reuse, and the indexed engine's rank order are all
-    /// behaviour-preserving. The interval-based strategies share the
-    /// assembly layer, so they must match as full structs (identical
-    /// interval compression); the naive reference compresses after the
-    /// fact and is held to observational equality.
+    /// so the CELF cache, the incremental sweep's residual reuse, and the
+    /// indexed engine's rank order are all behaviour-preserving. The
+    /// strategies share the interval assembly layer, so they must match
+    /// as full structs (identical interval compression).
     #[test]
     fn all_strategies_agree(
         seed in 0u64..1000,
@@ -127,20 +123,16 @@ proptest! {
         let default = build(&g.instance, rule, Strategy::Auto);
         for strategy in Strategy::ALL {
             let other = build(&g.instance, rule, strategy);
-            if strategy == Strategy::Naive {
-                assert_observationally_equal(&default, &other, strategy.name());
-            } else {
-                prop_assert_eq!(&default, &other, "strategy {}", strategy.name());
-            }
+            prop_assert_eq!(&default, &other, "strategy {}", strategy.name());
         }
     }
 
-    /// The indexed engine with coarsening off is byte-identical to the
-    /// dense reference on *every* generator shape — the adversarial
-    /// structural regimes (ties, degenerate bundles, skewed skills,
-    /// infeasibility) as well as both scaling shapes at reduced size.
+    /// Every strategy matches the naive reference on *every* generator
+    /// shape — the adversarial structural regimes (ties, degenerate
+    /// bundles, skewed skills, infeasibility) as well as both scaling
+    /// shapes at reduced size — or fails with the same error kind.
     #[test]
-    fn indexed_matches_dense_reference_across_shapes(
+    fn every_strategy_matches_reference_across_shapes(
         seed in 0u64..200,
         shape_idx in 0usize..Shape::ALL.len(),
         marginal in 0u8..2,
@@ -151,78 +143,36 @@ proptest! {
             SelectionRule::StaticTotal
         };
         let shape = Shape::ALL[shape_idx];
-        // The scaling shapes are sized down so the dense reference stays
-        // cheap; the small shapes run at their native size.
+        // The scaling shapes are sized down so the reference stays cheap;
+        // the small shapes run at their native size.
         let instance = match shape {
             Shape::LargeSparse => gen::large_sparse_sized(200, seed),
             Shape::ManyWorkers => gen::many_workers_sized(500, seed),
             _ => gen::generate(shape, seed),
         };
-        let indexed = ScheduleEngine::new(rule)
-            .strategy(Strategy::Indexed)
-            .build(&instance);
-        let dense = ScheduleEngine::new(rule)
-            .strategy(Strategy::Dense)
-            .build(&instance);
-        match (indexed, dense) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(&a, &b, "shape {}", shape.name()),
-            (Err(a), Err(b)) => prop_assert_eq!(
-                std::mem::discriminant(&a),
-                std::mem::discriminant(&b),
-                "shape {}: {a} vs {b}",
-                shape.name()
-            ),
-            (a, b) => prop_assert!(
-                false,
-                "shape {}: indexed {:?} but dense {:?}",
-                shape.name(),
-                a.map(|s| s.len()),
-                b.map(|s| s.len())
-            ),
-        }
-    }
-
-    /// Price-grid coarsening keeps the documented guarantees: the price
-    /// axis is unchanged, every winner set is feasible and price-feasible,
-    /// each coarse set is the exact winner set of some evaluated price at
-    /// or below its own, and — the headline bound — the minimum total
-    /// payment over the schedule never drops below the exact schedule's
-    /// (the exponential mechanism's mode never looks cheaper than it is).
-    #[test]
-    fn coarsening_respects_the_payment_bound(
-        seed in 0u64..500,
-        workers in 8usize..32,
-        stride in 2usize..10,
-        marginal in 0u8..2,
-    ) {
-        let rule = if marginal == 1 {
-            SelectionRule::MarginalCoverage
-        } else {
-            SelectionRule::StaticTotal
-        };
-        let g = small_setting(workers).generate(seed);
-        let exact = build(&g.instance, rule, Strategy::Indexed);
-        let coarse = ScheduleEngine::new(rule)
-            .strategy(Strategy::Indexed)
-            .coarsening(Coarsening::Stride(stride))
-            .build(&g.instance)
-            .expect("coverable");
-        prop_assert_eq!(exact.prices(), coarse.prices());
-        let cover = g.instance.sparse_coverage();
-        for i in 0..coarse.len() {
-            let winners = coarse.winners(i);
-            prop_assert!(cover.is_satisfied_by(winners.iter().copied()));
-            let price = coarse.price(i);
-            for &w in winners {
-                prop_assert!(g.instance.bids().bid(w).price() <= price);
+        let reference = reference_schedule(&instance, rule);
+        for strategy in Strategy::ALL {
+            let built = ScheduleEngine::new(rule).strategy(strategy).build(&instance);
+            let context = format!("shape {} strategy {}", shape.name(), strategy.name());
+            match (&built, &reference) {
+                (Ok(a), Ok(b)) => assert_observationally_equal(a, b, &context),
+                (Err(a), Err(b)) => prop_assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "{}: {} vs {}",
+                    context,
+                    a,
+                    b
+                ),
+                (a, b) => prop_assert!(
+                    false,
+                    "{}: engine {:?} but reference {:?}",
+                    context,
+                    a.as_ref().map(PriceSchedule::len),
+                    b.as_ref().map(PriceSchedule::len)
+                ),
             }
-            prop_assert!(
-                (0..=i).any(|j| exact.winners(j) == winners),
-                "coarse set at index {} is not an exact set from below",
-                i
-            );
         }
-        prop_assert!(coarse.min_total_payment() >= exact.min_total_payment());
     }
 
     /// An instance whose skills were built densely and one whose skills

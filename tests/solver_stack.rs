@@ -2,7 +2,7 @@
 //! layer: branch-and-bound vs exhaustive search on real TPM instances, and
 //! the compressed schedule vs the naive per-price reference.
 
-use dp_mcs::auction::{ScheduleEngine, SelectionRule, Strategy};
+use dp_mcs::auction::{reference_schedule, ScheduleEngine, SelectionRule};
 use dp_mcs::ilp::{solve_exhaustive, BnbOptions, CoveringIlp};
 use dp_mcs::{Setting, TaskId, WorkerId};
 
@@ -57,10 +57,7 @@ fn compressed_schedule_equals_naive_reference_on_generated_instances() {
         let g = s.generate(seed);
         for rule in [SelectionRule::MarginalCoverage, SelectionRule::StaticTotal] {
             let fast = ScheduleEngine::new(rule).build(&g.instance).unwrap();
-            let naive = ScheduleEngine::new(rule)
-                .strategy(Strategy::Naive)
-                .build(&g.instance)
-                .unwrap();
+            let naive = reference_schedule(&g.instance, rule).unwrap();
             assert_eq!(fast.prices(), naive.prices(), "seed {seed} {rule:?}");
             for i in 0..fast.len() {
                 assert_eq!(
