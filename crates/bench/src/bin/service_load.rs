@@ -2,7 +2,8 @@
 //!
 //! Drives a loopback TCP service with two workloads at several
 //! concurrency levels and records throughput and exact client-side
-//! latency quantiles into `BENCH_service.json`:
+//! latency quantiles into `BENCH_service.json`, with the measured commit
+//! and the number of available cores:
 //!
 //! * **cold** — every request carries a *distinct* instance, so each one
 //!   pays a full schedule + PMF build;
@@ -56,6 +57,10 @@ struct ScenarioResult {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     bench: String,
+    /// `git describe --always --dirty` of the measured tree.
+    commit: String,
+    /// `std::thread::available_parallelism` on the measuring machine.
+    cores: usize,
     transport: String,
     setting: String,
     seed: u64,
@@ -204,7 +209,8 @@ fn main() {
 
     println!(
         "service_load: setting one({WORKERS_IN_SETTING}), seed {seed}, \
-         {cold_n} cold / {cached_n} cached requests per level"
+         {cold_n} cold / {cached_n} cached requests per level, {} cores",
+        mcs_bench::cores()
     );
     let mut scenarios = Vec::new();
     for &concurrency in &[1usize, 2, 4] {
@@ -240,6 +246,8 @@ fn main() {
 
     let output = BenchOutput {
         bench: "service_load".to_string(),
+        commit: mcs_bench::commit(),
+        cores: mcs_bench::cores(),
         transport: "loopback_tcp_line_json".to_string(),
         setting: format!("table1/setting1 n={WORKERS_IN_SETTING}"),
         seed,

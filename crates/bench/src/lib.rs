@@ -143,6 +143,26 @@ pub fn emit<T: TableRow>(title: &str, rows: &[T], cli: &Cli) {
     }
 }
 
+/// The measured tree, as `git describe --always --dirty` names it, for
+/// the `commit` field of a recorded bench run; `"unknown"` outside a git
+/// checkout.
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Cores the measuring machine offers this process
+/// (`std::thread::available_parallelism`), for the `cores` field of a
+/// recorded bench run.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Builds an inclusive integer range with a step, e.g. the paper's
 /// x-axes (`80..=140` step 4).
 pub fn axis(from: usize, to: usize, step: usize) -> Vec<usize> {

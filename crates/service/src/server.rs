@@ -80,6 +80,9 @@ impl Default for ServiceConfig {
 
 struct Job {
     request: Request,
+    /// The request's cache key, digested once when the job is made; `None`
+    /// for requests that are never coalesced.
+    key: Option<CacheKey>,
     reply: SyncSender<Response>,
     enqueued_at: Instant,
 }
@@ -116,10 +119,16 @@ impl Client {
     /// *accepted* request is worked on.
     pub fn call(&self, request: Request) -> Response {
         let (reply_tx, reply_rx) = sync_channel(1);
+        let enqueued_at = Instant::now();
+        // Digest on the caller's thread, outside the admission gate: the
+        // dispatcher and the worker reuse the key instead of re-hashing
+        // the instance.
+        let key = batch_key(&request);
         let job = Job {
             request,
+            key,
             reply: reply_tx,
-            enqueued_at: Instant::now(),
+            enqueued_at,
         };
         {
             // Admission and the draining flag are checked under one lock
@@ -327,7 +336,7 @@ fn dispatch_loop(shared: &Arc<Shared>, accept_rx: &Receiver<Job>, batch_tx: &Syn
             }
         };
 
-        let Some(key) = batch_key(&job.request) else {
+        let Some(key) = job.key else {
             if batch_tx.send(vec![job]).is_err() {
                 break;
             }
@@ -338,7 +347,7 @@ fn dispatch_loop(shared: &Arc<Shared>, accept_rx: &Receiver<Job>, batch_tx: &Syn
         // First absorb same-key jobs that are already waiting.
         let mut rest = VecDeque::with_capacity(pending.len());
         while let Some(next) = pending.pop_front() {
-            if batch.len() < max_batch && batch_key(&next.request) == Some(key) {
+            if batch.len() < max_batch && next.key == Some(key) {
                 batch.push(next);
             } else {
                 rest.push_back(next);
@@ -366,7 +375,7 @@ fn dispatch_loop(shared: &Arc<Shared>, accept_rx: &Receiver<Job>, batch_tx: &Syn
                 }
                 match accept_rx.recv_timeout(deadline - now) {
                     Ok(next) => {
-                        if batch_key(&next.request) == Some(key) {
+                        if next.key == Some(key) {
                             batch.push(next);
                         } else {
                             pending.push_back(next);
@@ -494,19 +503,19 @@ fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     };
     let batched = batch.len() > 1;
 
-    if let Some(key) = batch_key(&first.request) {
+    if let Some(key) = first.key {
         // One schedule/PMF build serves the whole batch.
         let (instance, epsilon) = match &first.request {
             Request::RunAuction {
                 instance, epsilon, ..
             }
-            | Request::QueryPmf { instance, epsilon } => (instance.clone(), *epsilon),
-            // `batch_key` returned Some, so this arm is unreachable.
+            | Request::QueryPmf { instance, epsilon } => (instance, *epsilon),
+            // Only these requests carry a key, so this arm is unreachable.
             _ => return,
         };
         let built = shared
             .cache
-            .get_or_build(key, || DpHsrcAuction::new(epsilon)?.pmf(&instance));
+            .get_or_build(key, || DpHsrcAuction::new(epsilon)?.pmf(instance));
         for job in batch {
             let response = match &built {
                 Err(err) => error_response(err),

@@ -132,7 +132,8 @@ fn serve_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) {
             Ok(0) => break, // EOF: client hung up.
             Ok(_) => {
                 // The checked decode rejects non-finite numbers and
-                // duplicate keys before typed deserialization, so no
+                // duplicate keys before typed deserialization, and
+                // instances the builder would refuse after it, so no
                 // request built from an unsound document reaches the
                 // service (or its digest-keyed cache).
                 let response = match decode_request(line.trim()) {

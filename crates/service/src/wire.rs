@@ -360,10 +360,10 @@ pub enum WireError {
     /// An embedded completion model carries a probability `p_ij` outside
     /// the half-open interval `(0, 1]`.
     ///
-    /// Wire decoding bypasses [`Instance`]'s builder, so the builder's
-    /// model validation is re-run here: a request that smuggles `p = 0`
-    /// (a task that can never complete) or `p > 1` must fail typed at the
-    /// transport, not panic deep inside the schedule engine.
+    /// Wire decoding runs the validation of [`Instance`]'s builder: a
+    /// request that smuggles `p = 0` (a task that can never complete) or
+    /// `p > 1` must fail typed at the transport, not panic deep inside the
+    /// schedule engine.
     InvalidProbability {
         /// Worker of the offending entry.
         worker: u32,
@@ -380,6 +380,10 @@ pub enum WireError {
         /// The offending value.
         value: f64,
     },
+    /// An embedded instance breaks another rule of [`Instance`]'s builder,
+    /// e.g. a bundle naming a task the instance does not have, a bid
+    /// outside the cost range, or an error bound outside `(0, 1)`.
+    InvalidInstance(McsError),
 }
 
 impl fmt::Display for WireError {
@@ -405,87 +409,118 @@ impl fmt::Display for WireError {
                 f,
                 "shortfall bound gamma[{task}] = {value} is outside the open interval (0, 1)"
             ),
+            WireError::InvalidInstance(err) => write!(f, "invalid instance: {err}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// Rejects non-finite numbers and duplicate object keys anywhere in a
-/// parsed value tree, reporting the first offence with its path.
-fn validate_tree(v: &Value, path: &mut String) -> Result<(), WireError> {
+/// What [`first_offence`] found wrong with a parsed value tree.
+enum Offence<'v> {
+    NonFinite,
+    DuplicateKey(&'v str),
+}
+
+/// One step of a JSONPath: an array index or an object key.
+enum Step<'v> {
+    Index(usize),
+    Key(&'v str),
+}
+
+/// Finds the first non-finite number or repeated object key in a parsed
+/// value tree, in document order (an object's own keys before its
+/// values). Returns it with the steps from the root down to it, in
+/// reverse; the walk allocates only once it has found an offence.
+fn first_offence(v: &Value) -> Option<(Offence<'_>, Vec<Step<'_>>)> {
     match v {
-        Value::Number(Number::Float(f)) if !f.is_finite() => {
-            Err(WireError::NonFinite { path: path.clone() })
-        }
-        Value::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let mark = path.len();
-                path.push_str(&format!("[{i}]"));
-                validate_tree(item, path)?;
-                path.truncate(mark);
-            }
-            Ok(())
-        }
+        Value::Number(Number::Float(f)) if !f.is_finite() => Some((Offence::NonFinite, Vec::new())),
+        Value::Array(items) => items.iter().enumerate().find_map(|(i, item)| {
+            first_offence(item).map(|(offence, mut steps)| {
+                steps.push(Step::Index(i));
+                (offence, steps)
+            })
+        }),
         Value::Object(fields) => {
-            for (i, (key, _)) in fields.iter().enumerate() {
-                if fields[..i].iter().any(|(earlier, _)| earlier == key) {
-                    return Err(WireError::DuplicateKey {
-                        path: path.clone(),
-                        key: key.clone(),
-                    });
-                }
+            let repeated = fields
+                .iter()
+                .enumerate()
+                .find(|(i, (key, _))| fields[..*i].iter().any(|(earlier, _)| earlier == key));
+            if let Some((_, (key, _))) = repeated {
+                return Some((Offence::DuplicateKey(key), Vec::new()));
             }
-            for (key, value) in fields {
-                let mark = path.len();
-                path.push_str(&format!(".{key}"));
-                validate_tree(value, path)?;
-                path.truncate(mark);
-            }
-            Ok(())
+            fields.iter().find_map(|(key, value)| {
+                first_offence(value).map(|(offence, mut steps)| {
+                    steps.push(Step::Key(key));
+                    (offence, steps)
+                })
+            })
         }
-        _ => Ok(()),
+        _ => None,
     }
+}
+
+/// Rejects non-finite numbers and duplicate object keys anywhere in a
+/// parsed value tree, reporting the first offence with its JSONPath.
+fn validate_tree(v: &Value) -> Result<(), WireError> {
+    let Some((offence, steps)) = first_offence(v) else {
+        return Ok(());
+    };
+    let mut path = String::from("$");
+    for step in steps.iter().rev() {
+        match step {
+            Step::Index(i) => path.push_str(&format!("[{i}]")),
+            Step::Key(key) => {
+                path.push('.');
+                path.push_str(key);
+            }
+        }
+    }
+    Err(match offence {
+        Offence::NonFinite => WireError::NonFinite { path },
+        Offence::DuplicateKey(key) => WireError::DuplicateKey {
+            path,
+            key: key.to_string(),
+        },
+    })
 }
 
 fn decode_checked<T: Deserialize>(text: &str) -> Result<T, WireError> {
     let value: Value = serde_json::from_str(text).map_err(|e| WireError::Syntax(e.to_string()))?;
-    let mut path = String::from("$");
-    validate_tree(&value, &mut path)?;
+    validate_tree(&value)?;
     T::from_value(&value).map_err(|e| WireError::Shape(e.to_string()))
 }
 
-/// Re-runs the completion-model validation the [`Instance`] builder would
-/// have performed, mapping the typed model errors onto wire errors.
+/// Runs the validation [`Instance`]'s builder runs, mapping the typed
+/// completion-model errors onto their own wire errors.
 ///
-/// Everything else about a decoded instance is structurally enforced by
-/// the grammar, but completion probabilities and shortfall bounds are
-/// plain floats whose legal ranges the type system cannot see.
-fn validate_completion(instance: &Instance) -> Result<(), WireError> {
-    instance
-        .completion()
-        .validate(instance.num_workers(), instance.num_tasks())
-        .map_err(|e| match e {
-            McsError::InvalidCompletionProb {
-                worker,
-                task,
-                value,
-            } => WireError::InvalidProbability {
-                worker: worker.0,
-                task: task.0,
-                value,
-            },
-            McsError::InvalidShortfallBound { task, value } => WireError::InvalidShortfallBound {
-                task: task.0,
-                value,
-            },
-            other => WireError::Shape(other.to_string()),
-        })
+/// The grammar checks each part of an instance on its own (a dense skill
+/// matrix holds `N·K` values in `[0, 1]`, a price grid has a positive
+/// step), but not how the parts fit together: bundles against the task
+/// count, bid prices against the cost range, error bounds, completion
+/// probabilities and shortfall bounds.
+fn validate_instance(instance: &Instance) -> Result<(), WireError> {
+    instance.validate().map_err(|e| match e {
+        McsError::InvalidCompletionProb {
+            worker,
+            task,
+            value,
+        } => WireError::InvalidProbability {
+            worker: worker.0,
+            task: task.0,
+            value,
+        },
+        McsError::InvalidShortfallBound { task, value } => WireError::InvalidShortfallBound {
+            task: task.0,
+            value,
+        },
+        other => WireError::InvalidInstance(other),
+    })
 }
 
 /// Decodes one request line, rejecting syntactically valid but unsound
-/// documents (non-finite numbers, duplicate keys, out-of-range completion
-/// probabilities) with typed errors.
+/// documents (non-finite numbers, duplicate keys, instances the builder
+/// would refuse) with typed errors.
 ///
 /// # Errors
 ///
@@ -495,7 +530,7 @@ pub fn decode_request(text: &str) -> Result<Request, WireError> {
     match &request {
         Request::RunAuction { instance, .. }
         | Request::QueryPmf { instance, .. }
-        | Request::RunResilientRound { instance, .. } => validate_completion(instance)?,
+        | Request::RunResilientRound { instance, .. } => validate_instance(instance)?,
         _ => {}
     }
     Ok(request)

@@ -376,6 +376,52 @@ fn malformed_tcp_line_answers_error_and_keeps_connection() {
     service.shutdown();
 }
 
+/// Instances the builder would refuse are refused on the wire, and the
+/// service keeps answering. Each line is one edit of a valid request that
+/// the JSON grammar alone accepts: θ = 7.5, δ = 1.5, a bundle task past the
+/// task count, a zero grid step, and a dense θ one cell short. Unchecked,
+/// the last three panic a worker or the dispatcher.
+#[test]
+fn hostile_instances_are_refused_and_the_service_keeps_answering() {
+    use std::io::{BufRead, BufReader, Write};
+
+    const HOSTILE: [&str; 5] = [
+        include_str!("../../verify/tests/corpus/hostile_theta_out_of_range.json"),
+        include_str!("../../verify/tests/corpus/hostile_delta_out_of_range.json"),
+        include_str!("../../verify/tests/corpus/hostile_bundle_task_out_of_range.json"),
+        include_str!("../../verify/tests/corpus/hostile_grid_step_zero.json"),
+        include_str!("../../verify/tests/corpus/hostile_theta_short.json"),
+    ];
+    let service = Service::start(ServiceConfig::default());
+    let tcp = TcpServer::bind(service.client(), "127.0.0.1:0").expect("bind loopback");
+    let stream = std::net::TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut exchange = |line: &str| -> Response {
+        writer.write_all(line.trim().as_bytes()).expect("write");
+        writer.write_all(b"\n").expect("write");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("read answer line");
+        serde_json::from_str(answer.trim()).expect("parse answer line")
+    };
+
+    for line in HOSTILE {
+        match exchange(line) {
+            Response::Error { message } => {
+                assert!(message.starts_with("malformed request: "), "{message}");
+            }
+            other => panic!("{line} must be refused, got {other:?}"),
+        }
+    }
+    match exchange(&serde_json::to_string(&Request::Health).expect("serialize")) {
+        Response::Health(health) => assert!(!health.draining),
+        other => panic!("health answered {other:?}"),
+    }
+
+    tcp.shutdown();
+    service.shutdown();
+}
+
 /// Infeasible or invalid inputs surface as typed `Error` responses.
 #[test]
 fn invalid_epsilon_is_a_typed_error() {

@@ -367,8 +367,9 @@ const RESIDUAL_EPS: f64 = 1e-9;
 ///
 /// Propagates primary-auction errors ([`McsError::Infeasible`],
 /// [`McsError::NoFeasiblePrice`]) and invalid fault plans
-/// ([`McsError::Solver`]). Backfill infeasibility is *not* an error — it
-/// is the degraded case the report describes.
+/// ([`McsError::Solver`]), and returns [`McsError::DimensionMismatch`]
+/// unless `types` holds one entry per worker. Backfill infeasibility is
+/// *not* an error — it is the degraded case the report describes.
 pub fn run_round_resilient<M, R>(
     instance: &Instance,
     types: &[TrueType],
@@ -381,6 +382,15 @@ where
     M: ScheduledMechanism,
     R: Rng + ?Sized,
 {
+    // Winners' utilities index `types` by worker; the service passes both
+    // straight from the wire.
+    if types.len() != instance.num_workers() {
+        return Err(McsError::DimensionMismatch {
+            what: "worker types",
+            expected: instance.num_workers(),
+            actual: types.len(),
+        });
+    }
     let injector = FaultInjector::new(plan.clone())?;
     let completions = CompletionSampler::new(instance.completion(), plan.seed);
     let cover = instance.sparse_coverage();
@@ -554,6 +564,28 @@ mod resilient_tests {
         assert!(!resilient.degraded());
         // Both consumed the same randomness: subsequent draws agree.
         assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+    }
+
+    #[test]
+    fn worker_types_must_cover_every_worker() {
+        let (inst, types) = small(21);
+        let auction = DpHsrcAuction::new(0.1).unwrap();
+        let short = &types[..types.len() - 1];
+        let result = run_round_resilient(
+            &inst,
+            short,
+            &auction,
+            &FaultPlan::none(),
+            &ResilienceConfig::default(),
+            &mut rng::seeded(11),
+        );
+        assert!(matches!(
+            result,
+            Err(McsError::DimensionMismatch {
+                what: "worker types",
+                ..
+            })
+        ));
     }
 
     #[test]

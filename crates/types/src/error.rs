@@ -69,6 +69,13 @@ pub enum McsError {
         /// The offending worker.
         worker: WorkerId,
     },
+    /// A bundle's tasks were not listed in strictly ascending order.
+    /// Bundles built with [`crate::Bundle::new`] always are; only a
+    /// decoded bundle can break the rule.
+    UnsortedBundle {
+        /// The offending worker.
+        worker: WorkerId,
+    },
     /// The cost range was empty (`c_max < c_min`) or a bid fell outside it.
     InvalidCostRange {
         /// Configured minimum cost.
@@ -199,6 +206,9 @@ impl fmt::Display for McsError {
             ),
             McsError::EmptyBundle { worker } => {
                 write!(f, "worker {worker} bid an empty bundle")
+            }
+            McsError::UnsortedBundle { worker } => {
+                write!(f, "bundle of {worker} does not list its tasks in strictly ascending order")
             }
             McsError::InvalidCostRange { cmin, cmax } => {
                 write!(f, "invalid cost range [{cmin}, {cmax}]")

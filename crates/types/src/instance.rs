@@ -142,6 +142,82 @@ impl Instance {
         })
     }
 
+    /// Checks how the parts of an instance fit together: the rules
+    /// [`InstanceBuilder::build`] enforces, which a decoded instance must
+    /// also pass before anything computes over it. The parts are checked
+    /// on their own when they are made ([`SkillMatrix`] and [`PriceGrid`]
+    /// refuse malformed values, also when decoded).
+    ///
+    /// # Errors
+    ///
+    /// * [`McsError::DimensionMismatch`] — skills/deltas disagree with the
+    ///   worker or task counts.
+    /// * [`McsError::EmptyBundle`] / [`McsError::UnsortedBundle`] /
+    ///   [`McsError::BundleOutOfRange`] — a bid's bundle is empty, does not
+    ///   list its tasks in strictly ascending order, or references unknown
+    ///   tasks.
+    /// * [`McsError::InvalidErrorBound`] — some `δ_j ∉ (0, 1)`.
+    /// * [`McsError::InvalidCostRange`] — `c_max < c_min` or a bid price
+    ///   outside `[c_min, c_max]`.
+    /// * [`McsError::InvalidCompletionProb`] /
+    ///   [`McsError::InvalidShortfallBound`] /
+    ///   [`McsError::DuplicateCompletionEntry`] — an invalid completion
+    ///   model (see [`CompletionModel::validate`]).
+    pub fn validate(&self) -> Result<(), McsError> {
+        let (cmin, cmax) = (self.cmin, self.cmax);
+        if cmax < cmin {
+            return Err(McsError::InvalidCostRange { cmin, cmax });
+        }
+        if self.skills.num_workers() != self.bids.len() {
+            return Err(McsError::DimensionMismatch {
+                what: "skill matrix workers",
+                expected: self.bids.len(),
+                actual: self.skills.num_workers(),
+            });
+        }
+        if self.skills.num_tasks() != self.num_tasks {
+            return Err(McsError::DimensionMismatch {
+                what: "skill matrix tasks",
+                expected: self.num_tasks,
+                actual: self.skills.num_tasks(),
+            });
+        }
+        if self.deltas.len() != self.num_tasks {
+            return Err(McsError::DimensionMismatch {
+                what: "error bound vector",
+                expected: self.num_tasks,
+                actual: self.deltas.len(),
+            });
+        }
+        for (j, &d) in self.deltas.iter().enumerate() {
+            if !(d > 0.0 && d < 1.0) {
+                return Err(McsError::InvalidErrorBound {
+                    task: TaskId(j as u32),
+                    value: d,
+                });
+            }
+        }
+        for (wid, bid) in self.bids.iter() {
+            let tasks = bid.bundle().as_slice();
+            if tasks.is_empty() {
+                return Err(McsError::EmptyBundle { worker: wid });
+            }
+            if tasks.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(McsError::UnsortedBundle { worker: wid });
+            }
+            if !bid.bundle().within_task_count(self.num_tasks) {
+                return Err(McsError::BundleOutOfRange {
+                    worker: wid,
+                    num_tasks: self.num_tasks,
+                });
+            }
+            if bid.price() < cmin || bid.price() > cmax {
+                return Err(McsError::InvalidCostRange { cmin, cmax });
+            }
+        }
+        self.completion.validate(self.bids.len(), self.num_tasks)
+    }
+
     /// Derives the covering problem `(q, Q)` of the TPM formulation.
     ///
     /// `q_ij = (2θ_ij − 1)²` where task `j` is in worker `i`'s bundle and 0
@@ -594,17 +670,7 @@ impl InstanceBuilder {
     /// # Errors
     ///
     /// * [`McsError::MissingField`] — a required field was never set.
-    /// * [`McsError::DimensionMismatch`] — skills/deltas disagree with the
-    ///   worker or task counts.
-    /// * [`McsError::EmptyBundle`] / [`McsError::BundleOutOfRange`] — a bid's
-    ///   bundle is empty or references unknown tasks.
-    /// * [`McsError::InvalidErrorBound`] — some `δ_j ∉ (0, 1)`.
-    /// * [`McsError::InvalidCostRange`] — `c_max < c_min` or a bid price
-    ///   outside `[c_min, c_max]`.
-    /// * [`McsError::InvalidCompletionProb`] /
-    ///   [`McsError::InvalidShortfallBound`] /
-    ///   [`McsError::DuplicateCompletionEntry`] — an invalid completion
-    ///   model (see [`CompletionModel::validate`]).
+    /// * Any error of [`Instance::validate`].
     pub fn build(self) -> Result<Instance, McsError> {
         let bids = self.bids.ok_or(McsError::MissingField { field: "bids" })?;
         let skills = self
@@ -619,58 +685,7 @@ impl InstanceBuilder {
         let (cmin, cmax) = self.cost_range.ok_or(McsError::MissingField {
             field: "cost_range",
         })?;
-
-        if cmax < cmin {
-            return Err(McsError::InvalidCostRange { cmin, cmax });
-        }
-        if skills.num_workers() != bids.len() {
-            return Err(McsError::DimensionMismatch {
-                what: "skill matrix workers",
-                expected: bids.len(),
-                actual: skills.num_workers(),
-            });
-        }
-        if skills.num_tasks() != self.num_tasks {
-            return Err(McsError::DimensionMismatch {
-                what: "skill matrix tasks",
-                expected: self.num_tasks,
-                actual: skills.num_tasks(),
-            });
-        }
-        if deltas.len() != self.num_tasks {
-            return Err(McsError::DimensionMismatch {
-                what: "error bound vector",
-                expected: self.num_tasks,
-                actual: deltas.len(),
-            });
-        }
-        for (j, &d) in deltas.iter().enumerate() {
-            if !(d > 0.0 && d < 1.0) {
-                return Err(McsError::InvalidErrorBound {
-                    task: TaskId(j as u32),
-                    value: d,
-                });
-            }
-        }
-        for (wid, bid) in bids.iter() {
-            if bid.bundle().is_empty() {
-                return Err(McsError::EmptyBundle { worker: wid });
-            }
-            if !bid.bundle().within_task_count(self.num_tasks) {
-                return Err(McsError::BundleOutOfRange {
-                    worker: wid,
-                    num_tasks: self.num_tasks,
-                });
-            }
-            if bid.price() < cmin || bid.price() > cmax {
-                return Err(McsError::InvalidCostRange { cmin, cmax });
-            }
-        }
-
-        let completion = self.completion.unwrap_or_default();
-        completion.validate(bids.len(), self.num_tasks)?;
-
-        Ok(Instance {
+        let instance = Instance {
             num_tasks: self.num_tasks,
             bids,
             skills,
@@ -678,8 +693,10 @@ impl InstanceBuilder {
             price_grid,
             cmin,
             cmax,
-            completion,
-        })
+            completion: self.completion.unwrap_or_default(),
+        };
+        instance.validate()?;
+        Ok(instance)
     }
 }
 
@@ -937,6 +954,36 @@ mod tests {
         let back: Instance = serde_json::from_str(&json).unwrap();
         assert_eq!(uncertain, back);
         assert_eq!(uncertain.sparse_coverage(), back.sparse_coverage());
+    }
+
+    #[test]
+    fn decoded_instances_are_held_to_the_builder_rules() {
+        let inst = valid_builder().build().unwrap();
+        inst.validate().unwrap();
+        let json = serde_json::to_string(&inst).unwrap();
+        assert!(json.contains(r#""tasks":[0,1]"#) && json.contains("0.15"));
+        let decode = |from: &str, to: &str| -> Instance {
+            serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+        };
+        // The grammar alone accepts each of these; validation does not.
+        assert!(matches!(
+            decode(r#""tasks":[0,1]"#, r#""tasks":[1,0]"#).validate(),
+            Err(McsError::UnsortedBundle {
+                worker: WorkerId(1)
+            })
+        ));
+        assert!(matches!(
+            decode(r#""tasks":[0,1]"#, r#""tasks":[0,0]"#).validate(),
+            Err(McsError::UnsortedBundle { .. })
+        ));
+        assert!(matches!(
+            decode(r#""tasks":[0,1]"#, r#""tasks":[0,999]"#).validate(),
+            Err(McsError::BundleOutOfRange { .. })
+        ));
+        assert!(matches!(
+            decode("0.15", "1.5").validate(),
+            Err(McsError::InvalidErrorBound { .. })
+        ));
     }
 
     #[test]

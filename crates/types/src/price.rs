@@ -4,7 +4,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::McsError;
 
@@ -224,7 +224,7 @@ impl fmt::Display for Price {
 /// assert!(grid.contains(Price::from_f64(42.7)));
 /// assert!(!grid.contains(Price::from_f64(61.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct PriceGrid {
     min: Price,
     max: Price,
@@ -240,10 +240,12 @@ impl PriceGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`McsError::InvalidPriceGrid`] if `step` is not positive or
-    /// `max < min`.
+    /// Returns [`McsError::InvalidPriceGrid`] if `step` is not positive,
+    /// `max < min`, or `max − min` does not fit in an `i64`.
     pub fn new(min: Price, max: Price, step: Price) -> Result<Self, McsError> {
-        if !step.is_positive() || max < min {
+        // `len` divides the span by the step.
+        let span = max.tenths().checked_sub(min.tenths());
+        if !step.is_positive() || span.is_none_or(|span| span < 0) {
             return Err(McsError::InvalidPriceGrid { min, max, step });
         }
         Ok(PriceGrid { min, max, step })
@@ -348,6 +350,24 @@ impl PriceGrid {
     }
 }
 
+impl Deserialize for PriceGrid {
+    /// Reads the derived `{min, max, step}` shape and holds it to
+    /// [`PriceGrid::new`]'s rules, so that a decoded grid never has a zero
+    /// step to divide by.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(DeError::expected("object", v));
+        }
+        let field = |name: &'static str| {
+            v.get(name)
+                .ok_or_else(|| DeError::missing_field(name))
+                .and_then(Price::from_value)
+        };
+        PriceGrid::new(field("min")?, field("max")?, field("step")?)
+            .map_err(|e| DeError::custom(e.to_string()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,6 +436,13 @@ mod tests {
         assert!(PriceGrid::from_f64(35.0, 30.0, 0.1).is_err());
         assert!(PriceGrid::from_f64(35.0, 60.0, 0.0).is_err());
         assert!(PriceGrid::from_f64(35.0, 60.0, -0.1).is_err());
+        // A span past i64 would overflow `len`.
+        assert!(PriceGrid::new(
+            Price::from_tenths(i64::MIN),
+            Price::from_tenths(i64::MAX),
+            Price::from_tenths(1)
+        )
+        .is_err());
     }
 
     #[test]
@@ -483,5 +510,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn grid_serde_keeps_its_shape_and_rules() {
+        let grid = PriceGrid::from_f64(35.0, 60.0, 0.1).unwrap();
+        let v = grid.to_value();
+        assert_eq!(PriceGrid::from_value(&v).unwrap(), grid);
+        let step_zero = serde_json::from_str::<PriceGrid>(r#"{"min":350,"max":600,"step":0}"#);
+        assert!(step_zero
+            .unwrap_err()
+            .to_string()
+            .contains("non-positive step"));
+        assert!(serde_json::from_str::<PriceGrid>(r#"{"min":600,"max":350,"step":1}"#).is_err());
+        assert!(serde_json::from_str::<PriceGrid>(r#"{"min":350,"max":600}"#).is_err());
     }
 }

@@ -134,10 +134,13 @@ impl SkillMatrix {
         num_tasks: usize,
         flat: Vec<f64>,
     ) -> Result<Self, McsError> {
-        if flat.len() != num_workers * num_tasks {
+        // A product past `usize::MAX` saturates, and matches no vector's
+        // length.
+        let cells = num_workers.saturating_mul(num_tasks);
+        if flat.len() != cells {
             return Err(McsError::DimensionMismatch {
                 what: "flat skill matrix",
-                expected: num_workers * num_tasks,
+                expected: cells,
                 actual: flat.len(),
             });
         }
@@ -422,19 +425,16 @@ impl Deserialize for SkillMatrix {
         let num_tasks = usize::from_value(field("num_tasks")?)?;
         let theta = Vec::<f64>::from_value(field("theta")?)?;
         if v.get("offsets").is_none() {
-            // Legacy dense form: structurally permissive, exactly like the
-            // previously derived decoder.
-            return Ok(SkillMatrix {
-                num_workers,
-                num_tasks,
-                repr: Repr::Dense { theta },
-            });
+            // Dense form: held to the constructor's rules, so that every
+            // later lookup stays inside the `N·K` values.
+            return SkillMatrix::from_flat(num_workers, num_tasks, theta)
+                .map_err(|e| DeError::custom(e.to_string()));
         }
         // CSR form: new on the wire, so it can afford to be strict — a
         // malformed CSR would silently mis-shape every later lookup.
         let offsets = Vec::<usize>::from_value(field("offsets")?)?;
         let tasks = Vec::<u32>::from_value(field("tasks")?)?;
-        if offsets.len() != num_workers + 1
+        if offsets.len().checked_sub(1) != Some(num_workers)
             || offsets.first() != Some(&0)
             || offsets.last() != Some(&tasks.len())
             || tasks.len() != theta.len()
@@ -642,6 +642,41 @@ mod tests {
         assert!(back.is_sparse());
         assert_eq!(back.stored_len(), 2);
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn serde_rejects_malformed_dense() {
+        let good = SkillMatrix::from_rows(vec![vec![0.1, 0.2], vec![0.3, 0.4]])
+            .unwrap()
+            .to_value();
+        let tamper = |key: &str, val: Value| -> Value {
+            let Value::Object(fields) = good.clone() else {
+                unreachable!()
+            };
+            Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| if k == key { (k, val.clone()) } else { (k, v) })
+                    .collect(),
+            )
+        };
+        assert!(SkillMatrix::from_value(&good).is_ok());
+        // One cell short of N·K: every lookup of the last row would run
+        // off the end.
+        let short = SkillMatrix::from_value(&tamper("theta", vec![0.1f64, 0.2, 0.3].to_value()));
+        assert!(short
+            .unwrap_err()
+            .to_string()
+            .contains("length 3, expected 4"));
+        // θ outside [0, 1].
+        let wide =
+            SkillMatrix::from_value(&tamper("theta", vec![0.1f64, 7.5, 0.3, 0.4].to_value()));
+        assert!(wide
+            .unwrap_err()
+            .to_string()
+            .contains("= 7.5 is outside [0, 1]"));
+        // Dimensions whose product overflows match no vector.
+        assert!(SkillMatrix::from_value(&tamper("num_tasks", usize::MAX.to_value())).is_err());
     }
 
     #[test]

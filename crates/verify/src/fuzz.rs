@@ -8,7 +8,10 @@
 //!
 //! 1. **No panics** — arbitrary bytes must produce `Ok` or a typed
 //!    `WireError`, never an unwind (or worse, a stack overflow — the
-//!    parser's recursion depth is capped for exactly this reason).
+//!    parser's recursion depth is capped for exactly this reason). An
+//!    accepted instance must also be usable: its digest (the service's
+//!    cache key) and its coverage problem are computed, so a decoder that
+//!    lets through an instance that panics later counts as a panic.
 //! 2. **Round-trip stability** — any line the decoder *accepts* must
 //!    re-encode and decode to the identical encoding:
 //!    `encode(decode(x))` is a fixed point of `encode ∘ decode`.
@@ -35,9 +38,12 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Hand-written corpus lines compiled into the binary: valid requests
-/// and responses, near-misses (missing fields, unknown tags), and the
+/// and responses, near-misses (missing fields, unknown tags), the
 /// pathologies the decoder must reject (duplicate keys, non-finite
-/// numbers, truncation, deep nesting).
+/// numbers, truncation, deep nesting), and one-edit corruptions of a
+/// valid auction request that the grammar alone would accept (`hostile_*`:
+/// θ or δ out of range, a bundle task past the task count, a zero grid
+/// step, a dense θ one cell short).
 const SEED_CORPUS: &[&str] = &[
     include_str!("../tests/corpus/health.json"),
     include_str!("../tests/corpus/metrics.json"),
@@ -51,6 +57,11 @@ const SEED_CORPUS: &[&str] = &[
     include_str!("../tests/corpus/deep_nesting.json"),
     include_str!("../tests/corpus/uncertain_request.json"),
     include_str!("../tests/corpus/bad_probability.json"),
+    include_str!("../tests/corpus/hostile_theta_out_of_range.json"),
+    include_str!("../tests/corpus/hostile_delta_out_of_range.json"),
+    include_str!("../tests/corpus/hostile_bundle_task_out_of_range.json"),
+    include_str!("../tests/corpus/hostile_grid_step_zero.json"),
+    include_str!("../tests/corpus/hostile_theta_short.json"),
 ];
 
 /// Counters from one fuzz run.
@@ -169,11 +180,21 @@ enum Probe {
 }
 
 /// Decodes a line as a request and as a response; any accepted decode
-/// must survive encode → decode with an identical re-encoding.
+/// must survive encode → decode with an identical re-encoding, and any
+/// accepted instance must digest and yield its coverage problem.
 fn probe(line: &str) -> Probe {
     let mut any_accepted = false;
     if let Ok(request) = decode_request(line) {
         any_accepted = true;
+        match &request {
+            Request::RunAuction { instance, .. }
+            | Request::QueryPmf { instance, .. }
+            | Request::RunResilientRound { instance, .. } => {
+                std::hint::black_box(instance.digest());
+                std::hint::black_box(instance.sparse_coverage());
+            }
+            _ => {}
+        }
         let encoded = serde_json::to_string(&request).expect("accepted requests re-encode");
         match decode_request(&encoded) {
             Ok(again) => {
@@ -526,6 +547,7 @@ fn wal_mutate(bytes: &mut Vec<u8>, corpus: &[Vec<u8>], rng: &mut ChaCha8Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_service::WireError;
 
     #[test]
     fn corpus_alone_is_clean_and_exercises_both_paths() {
@@ -555,6 +577,57 @@ mod tests {
                 assert!(value > 1.0, "corrupted probability is {value}");
             }
             other => panic!("expected typed probability rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_instances_are_refused_typed() {
+        // Each hostile corpus line is one edit of this valid request.
+        const VALID: &str = r#"{"type":"run_auction","instance":{"num_tasks":2,"bids":{"bids":[{"bundle":{"tasks":[0,1]},"price":150},{"bundle":{"tasks":[0]},"price":160},{"bundle":{"tasks":[1]},"price":170}]},"skills":{"num_workers":3,"num_tasks":2,"theta":[0.9,0.85,0.95,0.5,0.5,0.9]},"deltas":[0.8,0.8],"price_grid":{"min":100,"max":200,"step":5},"cmin":100,"cmax":200},"epsilon":0.5,"seed":7}"#;
+        assert!(matches!(
+            decode_request(VALID),
+            Ok(Request::RunAuction { .. })
+        ));
+        let cases = [
+            (
+                include_str!("../tests/corpus/hostile_theta_out_of_range.json"),
+                ("[0.9,", "[7.5,"),
+                "shape mismatch: skill level theta[w0][t0] = 7.5 is outside [0, 1]",
+            ),
+            (
+                include_str!("../tests/corpus/hostile_delta_out_of_range.json"),
+                ("[0.8,", "[1.5,"),
+                "invalid instance: error bound delta[t0] = 1.5 is outside the open interval (0, 1)",
+            ),
+            (
+                include_str!("../tests/corpus/hostile_bundle_task_out_of_range.json"),
+                ("[0,1]", "[0,999]"),
+                "invalid instance: bundle of w0 references a task outside the 2-task set",
+            ),
+            (
+                include_str!("../tests/corpus/hostile_grid_step_zero.json"),
+                ("\"step\":5", "\"step\":0"),
+                "shape mismatch: price grid [10, 20] with step 0 is empty or has non-positive step",
+            ),
+            (
+                include_str!("../tests/corpus/hostile_theta_short.json"),
+                (",0.9]", "]"),
+                "shape mismatch: flat skill matrix has length 5, expected 6",
+            ),
+        ];
+        for (line, (from, to), message) in cases {
+            let line = line.trim();
+            assert_eq!(
+                line,
+                VALID.replacen(from, to, 1),
+                "one edit of the valid request"
+            );
+            match decode_request(line) {
+                Err(err @ (WireError::Shape(_) | WireError::InvalidInstance(_))) => {
+                    assert_eq!(err.to_string(), message);
+                }
+                other => panic!("{line} must be refused typed, got {other:?}"),
+            }
         }
     }
 

@@ -12,8 +12,8 @@ fn decoder_survives_corpus_and_mutations() {
     );
     assert_eq!(
         outcome.executed,
-        500 + 20,
-        "corpus (12 seed + 8 synthesized) + mutations"
+        500 + 25,
+        "corpus (17 seed + 8 synthesized) + mutations"
     );
     assert!(outcome.accepted > 0, "some inputs must decode");
     assert!(outcome.rejected > 0, "some inputs must reject");
