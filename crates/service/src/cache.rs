@@ -77,8 +77,10 @@ impl PmfCache {
     /// The build runs *outside* the cache lock, so a slow build never
     /// blocks readers of other keys; two threads racing on the same cold
     /// key may both build, and the second insert simply wins (both builds
-    /// are deterministic and identical). The dispatcher's batching keeps
-    /// that race rare.
+    /// are deterministic and identical). The service keeps that race
+    /// rare: a worker takes every queued job with the popped job's key,
+    /// so a second build needs a same-key request that arrives after the
+    /// first one was popped and finds another worker free.
     ///
     /// Returns the PMF and whether this call was a cache hit.
     ///

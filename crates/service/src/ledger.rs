@@ -1181,36 +1181,21 @@ impl Ledger {
 // ---------------------------------------------------------------------------
 // Durability configuration
 
-/// When the WAL is fsync'd.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// After every appended event — strongest guarantee; admitted bids
-    /// survive a crash too.
-    Always,
-    /// Only at commit points (`AuctionCommitted`, payments, aborts).
-    /// Admitted-but-uncommitted bids may be lost in a crash, which is
-    /// safe: the round recovers as aborted and no ack promised more.
-    CommitOnly,
-}
-
-/// Where and how durable state is kept.
+/// Where durable state is kept. Every appended event is fsync'd before
+/// its request is answered.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding `wal.log` and `snapshot.bin` (created if absent).
     pub dir: PathBuf,
-    /// Fsync policy for non-commit events.
-    pub fsync: FsyncPolicy,
     /// Rotate the log into a snapshot once it holds this many frames.
     pub snapshot_every: u64,
 }
 
 impl DurabilityConfig {
-    /// A config with [`FsyncPolicy::Always`] and snapshot every 256
-    /// frames.
+    /// A config that snapshots every 256 frames.
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityConfig {
         DurabilityConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::Always,
             snapshot_every: 256,
         }
     }
@@ -1243,14 +1228,13 @@ pub struct RecoveryReport {
 // The durable ledger
 
 /// The [`Ledger`] plus its write-ahead log: every mutation is validated,
-/// appended to the WAL, fsync'd per policy, and only then folded into
+/// appended to the WAL, fsync'd, and only then folded into
 /// memory — so the in-memory state never runs ahead of what recovery
 /// could rebuild.
 pub struct DurableLedger {
     ledger: Ledger,
     wal: WalWriter,
     dir: PathBuf,
-    fsync: FsyncPolicy,
     snapshot_every: u64,
     snapshot_lsn: u64,
     recovery: RecoveryReport,
@@ -1336,7 +1320,6 @@ impl DurableLedger {
             ledger,
             wal,
             dir: config.dir.clone(),
-            fsync: config.fsync,
             snapshot_every: config.snapshot_every.max(1),
             snapshot_lsn: snapshot_lsn.unwrap_or(0),
             recovery: report,
@@ -1394,13 +1377,6 @@ impl DurableLedger {
         Ok(issued)
     }
 
-    fn sync_if(&mut self, commit_point: bool) -> Result<(), WalError> {
-        if commit_point || self.fsync == FsyncPolicy::Always {
-            self.wal.sync()?;
-        }
-        Ok(())
-    }
-
     /// Opens a new round.
     ///
     /// # Errors
@@ -1416,7 +1392,7 @@ impl DurableLedger {
         }
         let event = WalEvent::RoundOpened { spec };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(false)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok(lsn)
     }
@@ -1473,7 +1449,7 @@ impl DurableLedger {
             signature: envelope.signature_bytes()?,
         };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(false)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok(lsn)
     }
@@ -1513,7 +1489,7 @@ impl DurableLedger {
                 // commit point and settlement without crashing; finish
                 // the obligation now.
                 Self::settle_committed(&mut self.ledger, &mut self.wal, round_id)?;
-                self.sync_if(true)?;
+                self.wal.sync()?;
                 return self.commit_round(round_id, seed);
             }
             Phase::Open => {}
@@ -1533,7 +1509,7 @@ impl DurableLedger {
         self.ledger.apply(&event, lsn)?;
 
         Self::settle_committed(&mut self.ledger, &mut self.wal, round_id)?;
-        self.sync_if(true)?;
+        self.wal.sync()?;
         self.maybe_snapshot()?;
 
         match &self
@@ -1575,7 +1551,7 @@ impl DurableLedger {
             reason: AbortReason::Requested,
         };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(true)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok(lsn)
     }
@@ -1600,7 +1576,7 @@ impl DurableLedger {
         }
         let event = WalEvent::StreamOpened { spec };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(false)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok(lsn)
     }
@@ -1608,9 +1584,8 @@ impl DurableLedger {
     /// Decides one stream arrival: admission checks (phase, roster, nonce
     /// replay window, one arrival per worker), envelope expiry and
     /// ed25519 signature, then the stage-sampling posted-price decision.
-    /// An *accepted* arrival's frame is fsync'd before the ack — posting
-    /// the payment obligation is the commit point; rejections follow the
-    /// configured fsync policy.
+    /// The arrival's frame is fsync'd before the ack; for an *accepted*
+    /// arrival that fsync is the commit point of its payment obligation.
     ///
     /// # Errors
     ///
@@ -1651,7 +1626,7 @@ impl DurableLedger {
             payment: decision.payment,
         };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(decision.accepted)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok((decision, lsn))
     }
@@ -1681,7 +1656,7 @@ impl DurableLedger {
         }
         let event = WalEvent::StreamClosed { round_id };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(true)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         self.maybe_snapshot()?;
         Ok(self
@@ -1713,7 +1688,7 @@ impl DurableLedger {
         }
         let event = WalEvent::StreamAborted { round_id };
         let lsn = self.wal.append(&event.encode())?;
-        self.sync_if(true)?;
+        self.wal.sync()?;
         self.ledger.apply(&event, lsn)?;
         Ok(lsn)
     }

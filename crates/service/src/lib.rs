@@ -8,16 +8,15 @@
 //!
 //! # What the service adds over a bare [`mcs_auction::DpHsrcAuction`]
 //!
-//! * **Batching** — requests arriving within a small window that share an
-//!   instance fingerprint (the stable content digest of `(Instance, ε)`,
-//!   see [`mcs_types::Instance::digest`]) coalesce into *one* schedule
-//!   build.
+//! * **Batching** — requests waiting in the queue that share an instance
+//!   fingerprint (the stable content digest of `(Instance, ε)`, see
+//!   [`mcs_types::Instance::digest`]) coalesce into *one* schedule build.
 //! * **Caching** — built PMFs live in a bounded LRU ([`PmfCache`]) keyed
 //!   by that digest; a cached auction reply is byte-identical to a cold
 //!   one because the sampled draw depends only on the PMF and the
 //!   caller's seed.
-//! * **Backpressure** — every queue is bounded; a full service answers a
-//!   typed [`Response::Busy`] with a retry hint instead of blocking or
+//! * **Backpressure** — the job queue is bounded; a full service answers
+//!   a typed [`Response::Busy`] with a retry hint instead of blocking or
 //!   resetting connections.
 //! * **Graceful drain** — shutdown stops admission atomically, then
 //!   answers every request already accepted before the threads join.
@@ -30,8 +29,7 @@
 //! The in-process [`Client`] and the line-delimited-JSON [`TcpServer`] /
 //! [`TcpClient`] speak the same [`Request`] / [`Response`] enums, so
 //! behaviour is transport-independent. No async runtime is involved:
-//! a fixed worker pool and bounded [`std::sync::mpsc`] queues carry
-//! everything.
+//! a fixed worker pool pulling from one bounded queue carries everything.
 //!
 //! # Example
 //!
@@ -68,11 +66,11 @@ pub use cache::{CacheKey, PmfCache};
 pub use envelope::{decode_public_key, signing_bytes, BidEnvelope, EnvelopeError};
 pub use ledger::{
     recover_from_bytes, system_now_ms, AbortReason, AdmittedBid, CommitReceipt, DurabilityConfig,
-    DurableLedger, FsyncPolicy, Ledger, PaymentRecord, RecoveryReport, RosterEntry, RoundError,
-    RoundSpec, RoundState, RoundStatusView, WalEvent,
+    DurableLedger, Ledger, PaymentRecord, RecoveryReport, RosterEntry, RoundError, RoundSpec,
+    RoundState, RoundStatusView, WalEvent,
 };
 pub use metrics::{MetricsRegistry, ENDPOINTS};
-pub use server::{Client, Service, ServiceConfig};
+pub use server::{Client, Service, ServiceConfig, BUSY_RETRY_HINT_MS};
 pub use stream::{StreamDecision, StreamReceipt, StreamSession, StreamSpec, StreamStatusView};
 pub use tcp::{RetryPolicy, TcpClient, TcpServer};
 pub use wal::{

@@ -1,33 +1,30 @@
-//! The service core: bounded accept queue, batching dispatcher, worker
-//! pool, and the in-process [`Client`].
-//!
-//! # Thread topology
+//! The service core: one bounded job queue, the worker pool that pulls
+//! from it, and the in-process [`Client`].
 //!
 //! ```text
-//! clients ──try_send──▶ accept queue ──▶ dispatcher ──send──▶ batch queue ──▶ workers
-//!   (N)                 (bounded)        (batches by           (bounded)       (pool)
-//!                                         cache key)
+//! clients ──push──▶ job queue (bounded) ──pop + same-key jobs──▶ workers
 //! ```
 //!
-//! Every queue is a bounded [`std::sync::mpsc::sync_channel`]; nothing in
-//! the hot path blocks a client. When the accept queue is full,
-//! [`Client::call`] returns [`Response::Busy`] immediately instead of
-//! blocking — backpressure is a *typed answer*, not a stalled caller.
+//! A worker that pops a job with a [`CacheKey`] also takes every queued
+//! job with the same key, in queue order, so identical requests share one
+//! cache lookup or schedule build. No batching window is needed: jobs
+//! only wait while every worker is busy, which is when coalescing pays.
+//! A full queue answers [`Response::Busy`] at once — backpressure is a
+//! typed answer, not a stalled caller.
 //!
-//! # Shutdown
-//!
-//! [`Service::shutdown`] flips the draining flag under the same lock that
-//! guards request admission, so after the flag is visible no new request
-//! can have entered the queue. The dispatcher then sweeps the queue dry,
-//! the workers drain their batch queue, and every accepted request is
-//! answered before the threads join.
+//! The draining flag lives under the queue lock, so once
+//! [`Service::shutdown`] sets it no request can enter the queue; the
+//! workers empty the queue before they exit, so every accepted request is
+//! answered. Each batch runs under [`std::panic::catch_unwind`]: a panic
+//! costs only that batch's unanswered callers their answer (a "service
+//! dropped the request" error), never a worker.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mcs_auction::{DpHsrcAuction, ScheduledMechanism};
 use mcs_num::rng;
@@ -40,23 +37,19 @@ use crate::metrics::MetricsRegistry;
 use crate::wal::WalError;
 use crate::wire::{HealthReport, PmfSummary, Request, Response};
 
+/// The back-off hint (ms) that every [`Response::Busy`] carries.
+pub const BUSY_RETRY_HINT_MS: u64 = 10;
+
 /// Tuning knobs of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing schedule builds and rounds.
     pub workers: usize,
-    /// Capacity of the bounded accept queue; a full queue answers
-    /// [`Response::Busy`].
+    /// Jobs the queue holds while every worker is busy; a full queue
+    /// answers [`Response::Busy`].
     pub queue_depth: usize,
-    /// How long the dispatcher holds a batch open for further requests
-    /// with the same cache key.
-    pub batch_window: Duration,
-    /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
     /// Maximum price schedules kept in the LRU cache.
     pub cache_capacity: usize,
-    /// Back-off hint handed to rejected clients.
-    pub retry_after_hint_ms: u64,
     /// Durable round state. `Some` opens (and recovers) a write-ahead
     /// log in the given directory and enables the round-lifecycle
     /// endpoints; `None` (the default) keeps the service stateless and
@@ -69,10 +62,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             queue_depth: 64,
-            batch_window: Duration::from_millis(2),
-            max_batch: 16,
             cache_capacity: 32,
-            retry_after_hint_ms: 10,
             durability: None,
         }
     }
@@ -87,71 +77,77 @@ struct Job {
     enqueued_at: Instant,
 }
 
+/// The waiting jobs and the draining flag, under one lock so shutdown
+/// cannot race a request into a queue nobody will empty.
+struct Queue {
+    jobs: VecDeque<Job>,
+    draining: bool,
+}
+
 struct Shared {
     cache: PmfCache,
     metrics: MetricsRegistry,
     config: ServiceConfig,
-    draining: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or the service starts draining.
+    ready: Condvar,
     /// Durable round state, present when [`ServiceConfig::durability`]
     /// is set. The mutex serialises the WAL append → fsync → apply
     /// sequence so frames hit the log in LSN order.
     durable: Option<Mutex<DurableLedger>>,
 }
 
+impl Shared {
+    /// Every queue update leaves it valid, so a poisoned lock is taken over.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// An in-process handle for talking to a running [`Service`].
 ///
-/// Cheap to clone; clones share the service's queues. A `Client` may
+/// Cheap to clone; clones share the service's queue. A `Client` may
 /// outlive its service, in which case calls answer
 /// [`Response::ShuttingDown`].
 #[derive(Clone)]
 pub struct Client {
     shared: Arc<Shared>,
-    accept_tx: SyncSender<Job>,
-    gate: Arc<Mutex<()>>,
 }
 
 impl Client {
     /// Submits one request and blocks until its response.
     ///
-    /// Never blocks on a *full* service: a full accept queue returns
+    /// Never blocks on a *full* service: a full queue returns
     /// [`Response::Busy`] immediately, and a draining service returns
     /// [`Response::ShuttingDown`]. Blocking happens only while an
     /// *accepted* request is worked on.
     pub fn call(&self, request: Request) -> Response {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let enqueued_at = Instant::now();
-        // Digest on the caller's thread, outside the admission gate: the
-        // dispatcher and the worker reuse the key instead of re-hashing
-        // the instance.
-        let key = batch_key(&request);
+        let (reply, reply_rx) = sync_channel(1);
+        // Digest on the caller's thread, outside the queue lock: the
+        // worker coalesces and looks the cache up with this key.
         let job = Job {
+            enqueued_at: Instant::now(),
+            key: batch_key(&request),
             request,
-            key,
-            reply: reply_tx,
-            enqueued_at,
+            reply,
         };
         {
-            // Admission and the draining flag are checked under one lock
-            // so shutdown cannot race a request into a dead queue.
-            let _gate = self.gate.lock().expect("admission gate poisoned");
-            if self.shared.draining.load(Ordering::SeqCst) {
+            let mut queue = self.shared.queue();
+            if queue.draining {
                 return Response::ShuttingDown;
             }
-            match self.accept_tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    self.shared.metrics.record_busy(job.request.endpoint());
-                    return Response::Busy {
-                        retry_after_hint_ms: self.shared.config.retry_after_hint_ms,
-                    };
-                }
-                Err(TrySendError::Disconnected(_)) => return Response::ShuttingDown,
+            if queue.jobs.len() >= self.shared.config.queue_depth.max(1) {
+                self.shared.metrics.record_busy(job.request.endpoint());
+                return Response::Busy {
+                    retry_after_hint_ms: BUSY_RETRY_HINT_MS,
+                };
             }
+            queue.jobs.push_back(job);
         }
+        self.shared.ready.notify_one();
         match reply_rx.recv() {
             Ok(response) => response,
-            // The worker dropped the reply sender without answering; only
-            // possible if a worker thread died mid-request.
+            // Dropped unanswered: the batch holding this job panicked.
             Err(_) => Response::Error {
                 message: "service dropped the request".to_string(),
             },
@@ -159,21 +155,18 @@ impl Client {
     }
 }
 
-/// A running auction service: dispatcher + worker pool + cache.
+/// A running auction service: job queue + worker pool + cache.
 ///
 /// Start one with [`Service::start`], talk to it through [`Service::client`]
 /// (or wrap the client in a [`crate::TcpServer`]), and stop it with
 /// [`Service::shutdown`]. Dropping the service also shuts it down.
 pub struct Service {
     shared: Arc<Shared>,
-    gate: Arc<Mutex<()>>,
-    accept_tx: Option<SyncSender<Job>>,
-    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Starts the dispatcher and worker threads.
+    /// Starts the worker threads.
     ///
     /// # Panics
     ///
@@ -195,45 +188,27 @@ impl Service {
             Some(durability) => Some(Mutex::new(DurableLedger::open(durability)?)),
             None => None,
         };
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cache: PmfCache::new(config.cache_capacity),
             metrics: MetricsRegistry::new(),
-            config: config.clone(),
-            draining: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::with_capacity(config.queue_depth.max(1)),
+                draining: false,
+            }),
+            ready: Condvar::new(),
             durable,
+            config,
         });
-        let gate = Arc::new(Mutex::new(()));
-        let (accept_tx, accept_rx) = sync_channel::<Job>(config.queue_depth.max(1));
-        let (batch_tx, batch_rx) = sync_channel::<Vec<Job>>(workers);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let worker_handles = (0..workers)
+        let workers = (0..shared.config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let batch_rx = Arc::clone(&batch_rx);
                 std::thread::Builder::new()
                     .name(format!("mcs-service-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &batch_rx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread")
             })
             .collect();
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mcs-service-dispatch".to_string())
-                .spawn(move || dispatch_loop(&shared, &accept_rx, &batch_tx))
-                .expect("spawn dispatcher thread")
-        };
-
-        Ok(Service {
-            shared,
-            gate,
-            accept_tx: Some(accept_tx),
-            dispatcher: Some(dispatcher),
-            workers: worker_handles,
-        })
+        Ok(Service { shared, workers })
     }
 
     /// What recovery found while opening the durable log, if durability
@@ -248,50 +223,26 @@ impl Service {
     }
 
     /// A new in-process client handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`Service::shutdown`] began (impossible
-    /// through safe use, since `shutdown` consumes the service).
     pub fn client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
-            accept_tx: self
-                .accept_tx
-                .clone()
-                .expect("service queues already torn down"),
-            gate: Arc::clone(&self.gate),
         }
     }
 
     /// Stops accepting requests, drains everything already accepted, and
     /// joins all threads. Every request accepted before the call is
     /// answered before this returns.
-    pub fn shutdown(mut self) {
-        self.drain_and_join();
-    }
-
-    fn drain_and_join(&mut self) {
-        {
-            let _gate = self.gate.lock().expect("admission gate poisoned");
-            self.shared.draining.store(true, Ordering::SeqCst);
-        }
-        // Drop our accept sender so the dispatcher can also observe
-        // disconnection once every client clone is gone.
-        self.accept_tx = None;
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() || !self.workers.is_empty() {
-            self.drain_and_join();
+        self.shared.queue().draining = true;
+        self.shared.ready.notify_all();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -308,100 +259,37 @@ fn batch_key(request: &Request) -> Option<CacheKey> {
     }
 }
 
-/// How long an idle dispatcher sleeps between checks of the draining flag.
-const IDLE_POLL: Duration = Duration::from_millis(20);
-
-fn dispatch_loop(shared: &Arc<Shared>, accept_rx: &Receiver<Job>, batch_tx: &SyncSender<Vec<Job>>) {
-    let window = shared.config.batch_window;
-    let max_batch = shared.config.max_batch.max(1);
-    let mut pending: VecDeque<Job> = VecDeque::new();
-    loop {
-        let job = match pending.pop_front() {
-            Some(job) => job,
-            None => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    // The admission gate guarantees no send can start
-                    // after the flag flipped, so a dry queue means done.
-                    match accept_rx.try_recv() {
-                        Ok(job) => job,
-                        Err(_) => break,
-                    }
-                } else {
-                    match accept_rx.recv_timeout(IDLE_POLL) {
-                        Ok(job) => job,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-        };
-
-        let Some(key) = job.key else {
-            if batch_tx.send(vec![job]).is_err() {
-                break;
-            }
-            continue;
-        };
-
-        let mut batch = vec![job];
-        // First absorb same-key jobs that are already waiting.
-        let mut rest = VecDeque::with_capacity(pending.len());
-        while let Some(next) = pending.pop_front() {
-            if batch.len() < max_batch && next.key == Some(key) {
-                batch.push(next);
+/// Pops the front job together with every queued job that has the same
+/// cache key, in queue order. A job without a key comes alone.
+fn take_batch(jobs: &mut VecDeque<Job>) -> Option<Vec<Job>> {
+    let mut batch = vec![jobs.pop_front()?];
+    if let Some(key) = batch[0].key {
+        for _ in 0..jobs.len() {
+            let job = jobs.pop_front().expect("one pop per queued job");
+            if job.key == Some(key) {
+                batch.push(job);
             } else {
-                rest.push_back(next);
+                jobs.push_back(job);
             }
-        }
-        pending = rest;
-        // Fast path: with a free worker, ship immediately — the batch
-        // window only pays off when the pool is saturated, and waiting
-        // it out on an idle service would tax every request's latency.
-        if batch.len() < max_batch && !shared.draining.load(Ordering::SeqCst) {
-            match batch_tx.try_send(batch) {
-                Ok(()) => continue,
-                Err(TrySendError::Full(returned)) => batch = returned,
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
-        // Saturated: hold the window open for stragglers with the same
-        // key; skip the wait while draining (no new arrivals come).
-        if !shared.draining.load(Ordering::SeqCst) {
-            let deadline = Instant::now() + window;
-            while batch.len() < max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match accept_rx.recv_timeout(deadline - now) {
-                    Ok(next) => {
-                        if next.key == Some(key) {
-                            batch.push(next);
-                        } else {
-                            pending.push_back(next);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        if batch_tx.send(batch).is_err() {
-            break;
         }
     }
-    // `batch_tx` drops here: workers finish their queue and exit.
+    Some(batch)
 }
 
-fn worker_loop(shared: &Arc<Shared>, batch_rx: &Arc<Mutex<Receiver<Vec<Job>>>>) {
+fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
-            let rx = batch_rx.lock().expect("batch queue lock poisoned");
-            match rx.recv() {
-                Ok(batch) => batch,
-                Err(_) => break,
-            }
+        let mut queue = shared
+            .ready
+            .wait_while(shared.queue(), |q| q.jobs.is_empty() && !q.draining)
+            .unwrap_or_else(PoisonError::into_inner);
+        // An empty queue here means the service is draining and done.
+        let Some(batch) = take_batch(&mut queue.jobs) else {
+            return;
         };
-        answer_batch(shared, batch);
+        drop(queue);
+        // A panic drops the batch's unanswered reply senders, which their
+        // callers see as a typed error; the worker carries on.
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| answer_batch(shared, batch)));
     }
 }
 
@@ -497,15 +385,11 @@ fn answer_durable(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let Some(first) = batch.first() else {
-        return;
-    };
+fn answer_batch(shared: &Shared, batch: Vec<Job>) {
     let batched = batch.len() > 1;
-
-    if let Some(key) = first.key {
+    if let Some(key) = batch[0].key {
         // One schedule/PMF build serves the whole batch.
-        let (instance, epsilon) = match &first.request {
+        let (instance, epsilon) = match &batch[0].request {
             Request::RunAuction {
                 instance, epsilon, ..
             }
@@ -575,7 +459,7 @@ fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                     queue_capacity: shared.config.queue_depth.max(1),
                     cache_entries: shared.cache.len(),
                     cache_capacity: shared.cache.capacity(),
-                    draining: shared.draining.load(Ordering::SeqCst),
+                    draining: shared.queue().draining,
                     recovered_rounds,
                     last_synced_lsn,
                     wal_size_bytes,
@@ -613,7 +497,7 @@ fn answer_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
 }
 
-fn finish(shared: &Arc<Shared>, job: Job, response: Response, batched: bool) {
+fn finish(shared: &Shared, job: Job, response: Response, batched: bool) {
     let errored = matches!(response, Response::Error { .. });
     shared.metrics.record(
         job.request.endpoint(),
@@ -623,4 +507,40 @@ fn finish(shared: &Arc<Shared>, job: Job, response: Response, batched: bool) {
     );
     // A client that gave up (dropped its receiver) is not an error.
     let _ = job.reply.send(response);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tags<'a>(jobs: impl IntoIterator<Item = &'a Job>) -> Vec<u64> {
+        let tag = |job: &Job| match job.request {
+            Request::RoundStatus { round_id } => round_id,
+            _ => unreachable!("test jobs are tagged round-status probes"),
+        };
+        jobs.into_iter().map(tag).collect()
+    }
+
+    #[test]
+    fn a_popped_job_takes_its_same_key_twins_in_queue_order() {
+        let g = mcs_sim::Setting::one(80).scaled_down(8).generate(1);
+        let [a, b, c] = [0.1, 0.2, 0.3].map(|eps| Some(CacheKey::new(&g.instance, eps)));
+        let (reply, _rx) = sync_channel(1);
+        let job = |tag, key| Job {
+            request: Request::RoundStatus { round_id: tag },
+            key,
+            reply: reply.clone(),
+            enqueued_at: Instant::now(),
+        };
+        // A1 B1 A2 K C1 A3, where K has no key.
+        let order = [(1, a), (2, b), (3, a), (4, None), (5, c), (6, a)];
+        let mut queue: VecDeque<Job> = order.into_iter().map(|(t, k)| job(t, k)).collect();
+        assert_eq!(tags(&take_batch(&mut queue).unwrap()), [1, 3, 6]);
+        assert_eq!(tags(&queue), [2, 4, 5]);
+        assert_eq!(tags(&take_batch(&mut queue).unwrap()), [2]);
+        // A keyless job never coalesces, not even with another keyless one.
+        queue.push_back(job(7, None));
+        assert_eq!(tags(&take_batch(&mut queue).unwrap()), [4]);
+        assert_eq!(tags(&queue), [5, 7]);
+    }
 }

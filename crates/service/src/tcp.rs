@@ -7,6 +7,9 @@
 //! writes the answer back — so batching, caching, backpressure, and
 //! draining all behave identically across transports. A full queue
 //! produces a `busy` *line*, never a stalled or reset connection.
+//! Connection threads are scoped to the accept thread, so a closed
+//! connection's thread and stack are released when it ends, not at
+//! shutdown.
 //!
 //! The client side honours that backpressure: [`TcpClient::call`]
 //! retries `busy` answers under a [`RetryPolicy`] — jittered exponential
@@ -54,28 +57,25 @@ impl TcpServer {
         let accept_thread = std::thread::Builder::new()
             .name("mcs-service-accept".to_string())
             .spawn(move || {
-                let mut connections: Vec<JoinHandle<()>> = Vec::new();
-                while !stop_accept.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let client = client.clone();
-                            let stop_conn = Arc::clone(&stop_accept);
-                            if let Ok(handle) = std::thread::Builder::new()
-                                .name("mcs-service-conn".to_string())
-                                .spawn(move || serve_connection(stream, &client, &stop_conn))
-                            {
-                                connections.push(handle);
+                std::thread::scope(|scope| {
+                    while !stop_accept.load(Ordering::SeqCst) {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                let (client, stop) = (&client, &*stop_accept);
+                                // A failed spawn drops (closes) the stream.
+                                let _ = std::thread::Builder::new()
+                                    .name("mcs-service-conn".to_string())
+                                    .spawn_scoped(scope, move || {
+                                        serve_connection(stream, client, stop);
+                                    });
                             }
+                            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
+                                std::thread::sleep(POLL);
+                            }
+                            Err(_) => break,
                         }
-                        Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(_) => break,
                     }
-                }
-                for handle in connections {
-                    let _ = handle.join();
-                }
+                });
             })
             .expect("spawn accept thread");
         Ok(TcpServer {

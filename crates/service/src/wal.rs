@@ -17,7 +17,9 @@
 //! mismatch, LSN discontinuity) ends the valid prefix, and recovery
 //! truncates the file there. Everything before that point is
 //! trustworthy because frames are written append-only and fsync'd at
-//! commit points.
+//! commit points. The [`MAX_FRAME_LEN`] cap is also enforced on write:
+//! [`WalWriter::append`] refuses a larger payload before writing a byte,
+//! so the log never holds a frame its own recovery would cut.
 //!
 //! `snapshot.bin` is written to a temporary name, fsync'd, and renamed
 //! into place, so a crash mid-snapshot never clobbers the previous one:
@@ -51,8 +53,9 @@ const SNAPSHOT_MAGIC: [u8; 8] = *b"MCSSNAP1";
 pub const WAL_HEADER_LEN: u64 = 16;
 /// Per-frame header length (len + crc + lsn) in bytes.
 pub const FRAME_HEADER_LEN: u64 = 16;
-/// Upper bound on a single frame payload; a corrupted length field can
-/// therefore never trigger a huge allocation.
+/// Upper bound on a single frame payload, checked on append and on scan;
+/// a corrupted length field can therefore never trigger a huge
+/// allocation.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// A typed write-ahead-log failure.
@@ -66,6 +69,12 @@ pub enum WalError {
     BadHeader(String),
     /// The snapshot file exists but is corrupt or truncated.
     BadSnapshot(String),
+    /// An append was refused because its payload exceeds
+    /// [`MAX_FRAME_LEN`]; nothing was written.
+    FrameTooLarge {
+        /// The refused payload length in bytes.
+        len: usize,
+    },
     /// A frame payload failed event decoding during replay.
     BadEvent {
         /// LSN of the offending frame.
@@ -89,6 +98,10 @@ impl fmt::Display for WalError {
             WalError::BadMagic => write!(f, "wal file does not start with the MCSWAL01 magic"),
             WalError::BadHeader(msg) => write!(f, "wal header invalid: {msg}"),
             WalError::BadSnapshot(msg) => write!(f, "snapshot invalid: {msg}"),
+            WalError::FrameTooLarge { len } => write!(
+                f,
+                "wal frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+            ),
             WalError::BadEvent { lsn, detail } => {
                 write!(f, "undecodable event at lsn {lsn}: {detail}")
             }
@@ -304,7 +317,8 @@ pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
     })
 }
 
-/// Encodes one frame (header + payload) for the given LSN.
+/// Encodes one frame (header + payload) for the given LSN. The payload
+/// must not exceed [`MAX_FRAME_LEN`]; [`WalWriter::append`] checks that.
 pub fn encode_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
     let lsn_bytes = lsn.to_le_bytes();
@@ -432,9 +446,13 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] on write failure (the in-memory LSN counter is
-    /// not advanced in that case).
+    /// [`WalError::FrameTooLarge`] for a payload over [`MAX_FRAME_LEN`],
+    /// before anything is written; [`WalError::Io`] on write failure. The
+    /// in-memory LSN counter is not advanced in either case.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        if payload.len() > MAX_FRAME_LEN as usize {
+            return Err(WalError::FrameTooLarge { len: payload.len() });
+        }
         let lsn = self.next_lsn;
         let frame = encode_frame(lsn, payload);
         self.file.write_all(&frame)?;
@@ -550,9 +568,12 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(u64, Vec<u8>)>, WalError> {
         return Err(WalError::BadSnapshot("wrong magic".to_string()));
     }
     let last_lsn = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
+    let len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    let Some(payload) = bytes.get(28..28 + len) else {
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_add(28));
+    let Some(payload) = end.and_then(|end| bytes.get(28..end)) else {
         return Err(WalError::BadSnapshot(format!(
             "payload truncated: header claims {len} bytes, {} present",
             bytes.len() - 28
@@ -716,6 +737,35 @@ mod tests {
             Some(TailDefect::OversizedFrame { len, .. }) if len == MAX_FRAME_LEN + 1
         ));
         assert_eq!(scan.valid_len, WAL_HEADER_LEN);
+    }
+
+    #[test]
+    fn oversized_append_is_refused_before_anything_is_written() {
+        let dir = temp_dir("oversized");
+        let path = dir.join(WAL_FILE);
+        let mut w = WalWriter::create(&path, 1).expect("create");
+        w.append(b"kept").expect("append");
+        let len = std::fs::metadata(&path).expect("meta").len();
+        let big = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        assert_eq!(
+            w.append(&big),
+            Err(WalError::FrameTooLarge { len: big.len() })
+        );
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), len);
+        assert_eq!((w.next_lsn(), w.len_bytes()), (2, len));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_length_past_the_address_space_is_a_bad_snapshot() {
+        let dir = temp_dir("snap-len");
+        write_snapshot(&dir, 3, b"state bytes").expect("write");
+        let path = dir.join(SNAPSHOT_FILE);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write forged length");
+        assert!(matches!(read_snapshot(&dir), Err(WalError::BadSnapshot(_))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

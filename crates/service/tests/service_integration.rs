@@ -6,7 +6,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mcs_service::{Request, Response, Service, ServiceConfig, TcpClient, TcpServer};
+use mcs_service::{
+    Request, Response, Service, ServiceConfig, TcpClient, TcpServer, BUSY_RETRY_HINT_MS,
+};
 use mcs_sim::faults::FaultPlan;
 use mcs_sim::platform::ResilienceConfig;
 use mcs_sim::Setting;
@@ -118,8 +120,6 @@ fn undersized_queue_reports_busy() {
     let service = Service::start(ServiceConfig {
         workers: 1,
         queue_depth: 1,
-        batch_window: Duration::from_millis(0),
-        retry_after_hint_ms: 7,
         ..ServiceConfig::default()
     });
     let client = service.client();
@@ -150,7 +150,7 @@ fn undersized_queue_reports_busy() {
                         Response::Busy {
                             retry_after_hint_ms,
                         } => {
-                            assert_eq!(retry_after_hint_ms, 7);
+                            assert_eq!(retry_after_hint_ms, BUSY_RETRY_HINT_MS);
                             busy.fetch_add(1, Ordering::Relaxed);
                         }
                         other => panic!("unexpected response {other:?}"),
@@ -281,8 +281,6 @@ fn same_key_burst_coalesces_into_batches() {
         workers: 1,
         queue_depth: 64,
         cache_capacity: 0,
-        batch_window: Duration::from_millis(100),
-        max_batch: 16,
         ..ServiceConfig::default()
     });
     let client = service.client();
@@ -435,6 +433,30 @@ fn invalid_epsilon_is_a_typed_error() {
     }) {
         Response::Error { message } => assert!(message.contains("epsilon"), "{message}"),
         other => panic!("expected a typed error, got {other:?}"),
+    }
+    service.shutdown();
+}
+
+/// A request that panics its worker costs only its own answer: the caller
+/// gets a typed error and the pool keeps serving. The request skips the
+/// wire's checks (a bundle task past the task count), which only an
+/// in-process caller can do.
+#[test]
+fn a_panicking_batch_costs_only_its_own_answer() {
+    let service = Service::start(ServiceConfig::default());
+    let client = service.client();
+    let line = include_str!("../../verify/tests/corpus/hostile_bundle_task_out_of_range.json");
+    let hostile: Request = serde_json::from_str(line.trim()).expect("the grammar accepts it");
+    // One panic for every worker the service has.
+    for _ in 0..ServiceConfig::default().workers {
+        match client.call(hostile.clone()) {
+            Response::Error { message } => assert_eq!(message, "service dropped the request"),
+            other => panic!("a panicking batch must answer a typed error, got {other:?}"),
+        }
+    }
+    match client.call(Request::Health) {
+        Response::Health(health) => assert!(!health.draining),
+        other => panic!("the worker pool must survive, got {other:?}"),
     }
     service.shutdown();
 }

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 
 use ed25519::{hex_encode, SigningKey};
 use mcs_service::{
-    scan_bytes, BidEnvelope, CrashPlan, DurabilityConfig, DurableLedger, FsyncPolicy, RosterEntry,
-    RoundSpec, WalEvent, WAL_FILE,
+    scan_bytes, BidEnvelope, CommitReceipt, CrashPlan, DurabilityConfig, DurableLedger,
+    RosterEntry, RoundError, RoundSpec, WalError, WalEvent, WAL_FILE,
 };
 use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
 
@@ -77,7 +77,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn run_golden(dir: &Path) {
     let config = DurabilityConfig {
         dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::Always,
         snapshot_every: u64::MAX,
     };
     let mut ledger = DurableLedger::open(&config).expect("create golden log");
@@ -150,7 +149,6 @@ fn recover_at(golden: &[u8], prefix_len: u64, dir: &Path) -> DurableLedger {
     std::fs::write(dir.join(WAL_FILE), &golden[..take]).expect("write crash prefix");
     DurableLedger::open(&DurabilityConfig {
         dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::Always,
         snapshot_every: u64::MAX,
     })
     .expect("recovery never fails on a prefix")
@@ -230,7 +228,6 @@ fn every_crash_point_recovers_without_losing_or_doubling_payments() {
         let after_first = std::fs::read(crash_dir.join(WAL_FILE)).expect("read recovered log");
         let second = DurableLedger::open(&DurabilityConfig {
             dir: crash_dir.clone(),
-            fsync: FsyncPolicy::Always,
             snapshot_every: u64::MAX,
         })
         .expect("second recovery");
@@ -255,7 +252,6 @@ fn recovery_skips_frames_already_covered_by_the_snapshot() {
     let dir = temp_dir("rotation");
     let config = DurabilityConfig {
         dir: dir.clone(),
-        fsync: FsyncPolicy::Always,
         snapshot_every: u64::MAX,
     };
     let mut ledger = DurableLedger::open(&config).expect("create");
@@ -282,5 +278,64 @@ fn recovery_skips_frames_already_covered_by_the_snapshot() {
         Price::from_tenths(receipt.price.tenths() * receipt.winners.len() as i64)
     );
     assert_eq!(recovered.recovery().completed_payments, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A round whose `RoundOpened` frame would exceed the WAL's frame cap is
+/// refused with a typed error before anything is written, so recovery
+/// keeps every round committed before and after it.
+#[test]
+fn oversized_round_is_refused_and_the_rounds_around_it_recover() {
+    let dir = temp_dir("oversized");
+    let config = DurabilityConfig {
+        dir: dir.clone(),
+        snapshot_every: u64::MAX,
+    };
+    let settle = |ledger: &mut DurableLedger, round_id| -> CommitReceipt {
+        ledger.open_round(spec(round_id)).expect("open");
+        for w in 0..3 {
+            ledger.submit_bid(&envelope(round_id, w), 0).expect("bid");
+        }
+        ledger
+            .commit_round(round_id, round_id * 31)
+            .expect("commit")
+    };
+    let mut ledger = DurableLedger::open(&config).expect("create");
+    let first = settle(&mut ledger, 1);
+
+    // 400 workers × 800 tasks, at four bytes of JSON per skill: ≈ 1.3 MB,
+    // over the 1 MiB frame cap.
+    let mut oversized = spec(2);
+    oversized.num_tasks = 800;
+    oversized.error_bounds = vec![0.8; 800];
+    let key = hex_encode(&key_for(0).verifying_key().to_bytes());
+    oversized.roster = (0..400)
+        .map(|w| RosterEntry {
+            worker: WorkerId(w),
+            public_key: key.clone(),
+            skills: vec![0.9; 800],
+        })
+        .collect();
+    let size = ledger.wal_size_bytes();
+    match ledger.open_round(oversized) {
+        Err(RoundError::Wal(WalError::FrameTooLarge { .. })) => {}
+        other => panic!("an oversized round must be refused, got {other:?}"),
+    }
+    assert_eq!(ledger.wal_size_bytes(), size, "nothing was written");
+    assert!(ledger.round_status(2).is_none(), "the ledger is unchanged");
+    let last = settle(&mut ledger, 3);
+    drop(ledger);
+
+    let recovered = DurableLedger::open(&config).expect("recover");
+    assert_eq!(recovered.recovery().truncated_tail_bytes, 0);
+    assert!(recovered.round_status(2).is_none());
+    for (round_id, receipt) in [(1, first), (3, last)] {
+        let status = recovered.round_status(round_id).expect("round recovers");
+        assert_eq!(status.phase, "settled", "round {round_id}");
+        assert_eq!(
+            status.total_paid,
+            Price::from_tenths(receipt.price.tenths() * receipt.winners.len() as i64)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,7 +27,7 @@ const DENSITY_EPS: f64 = 1e-12;
 /// the residual schedule of the sample pool; its cheapest feasible price
 /// becomes the posted price `p̂`, and the least dense selection-time
 /// marginal gain of the sample winner sequence at `p̂` divided by `p̂`
-/// becomes the density threshold `ρ̂` (scaled by `density_relax`).
+/// becomes the density threshold `ρ̂`.
 ///
 /// **Stage 2 (admit).** Every later arrival bidding at most `p̂` whose
 /// marginal coverage per unit of `p̂` is at least `ρ̂` is admitted and paid
@@ -54,7 +54,6 @@ const DENSITY_EPS: f64 = 1e-12;
 pub struct StageThreshold {
     sample_fraction: f64,
     lookahead: bool,
-    density_relax: f64,
     epsilon: Option<f64>,
     pricing: PricingPath,
 }
@@ -64,7 +63,6 @@ impl Default for StageThreshold {
         StageThreshold {
             sample_fraction: 0.25,
             lookahead: false,
-            density_relax: 1.0,
             epsilon: None,
             pricing: PricingPath::Incremental,
         }
@@ -90,13 +88,6 @@ impl StageThreshold {
     /// set exactly.
     pub fn lookahead(mut self, on: bool) -> StageThreshold {
         self.lookahead = on;
-        self
-    }
-
-    /// Scales the density threshold; values below `1.0` admit less dense
-    /// workers than the sample suggests.
-    pub fn density_relax(mut self, relax: f64) -> StageThreshold {
-        self.density_relax = relax.max(0.0);
         self
     }
 
@@ -251,8 +242,7 @@ impl OnlineMechanism for StageThreshold {
                     Ok(sequence) if !sequence.is_empty() => {
                         let gains = selection_gains(&cover, &requirements, &sequence);
                         let min_gain = gains.iter().fold(f64::INFINITY, |m, &g| m.min(g));
-                        let density =
-                            self.density_relax * min_gain / price.as_f64().max(f64::MIN_POSITIVE);
+                        let density = min_gain / price.as_f64().max(f64::MIN_POSITIVE);
                         (price, density, false)
                     }
                     Ok(_) => (price, 0.0, false),

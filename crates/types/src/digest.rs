@@ -124,8 +124,8 @@ impl Instance {
     /// and the cost range.
     ///
     /// Equal instances (in the `PartialEq` sense) always digest equally;
-    /// see the [module-level stability contract](self) for what else is
-    /// guaranteed. This is the cache key of the service layer's
+    /// see the stability contract at the top of `digest.rs` for what else
+    /// is guaranteed. This is the cache key of the service layer's
     /// schedule/PMF cache, sound because schedule and PMF construction are
     /// deterministic functions of `(Instance, ε)`.
     pub fn digest(&self) -> u64 {

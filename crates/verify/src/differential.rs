@@ -12,7 +12,7 @@
 //! here automatically. This module asserts, per instance:
 //!
 //! 1. **Engine agreement** — every [`Strategy`] and, up to
-//!    [`REFERENCE_WORKER_LIMIT`] workers, the reference produce equal
+//!    `REFERENCE_WORKER_LIMIT` workers, the reference produce equal
 //!    [`PriceSchedule`]s under both selection rules, or all fail with the
 //!    same error kind. Above the limit the reference's per-price full
 //!    rescans would dominate the sweep, so only the strategies run.
@@ -22,8 +22,8 @@
 //! 3. **Approximation ratio** — at the top grid price (where the
 //!    candidate pool is the full worker set) the greedy cardinality is
 //!    within the paper's `2βH_m` factor of the exact ILP optimum, and
-//!    never below it. Skipped above [`RATIO_TASK_LIMIT`] tasks (or
-//!    [`RATIO_WORKER_LIMIT`] workers) so the scaling shapes never drive
+//!    never below it. Skipped above `RATIO_TASK_LIMIT` tasks (or
+//!    `RATIO_WORKER_LIMIT` workers) so the scaling shapes never drive
 //!    the dense simplex/branch-and-bound.
 //!
 //! Failures shrink through [`minimize`] before being reported.
