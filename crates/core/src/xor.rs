@@ -18,7 +18,7 @@
 use rand::Rng;
 
 use mcs_num::softmax_from_logits;
-use mcs_types::{Bid, McsError, Price, PriceGrid, SkillMatrix, TaskId, WorkerId};
+use mcs_types::{Bid, Instance, McsError, Price, PriceGrid, SkillMatrix, TaskId, WorkerId};
 
 use crate::mechanism::Mechanism;
 
@@ -71,9 +71,8 @@ impl XorBid {
 
 /// A multi-minded auction instance.
 ///
-/// Unlike [`Instance`](mcs_types::Instance) this is defined directly over
-/// XOR bids; skills, error bounds, grid and cost range have the same
-/// meaning.
+/// Unlike [`Instance`] this is defined directly over XOR bids; skills,
+/// error bounds, grid and cost range have the same meaning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct XorInstance {
     num_tasks: usize,
@@ -116,9 +115,8 @@ impl XorInstance {
     ///
     /// # Errors
     ///
-    /// Mirrors [`Instance`](mcs_types::Instance) validation:
-    /// dimension mismatches, out-of-range bundles or option prices, empty
-    /// option lists, invalid `δ_j`.
+    /// Mirrors [`Instance`] validation: dimension mismatches, out-of-range
+    /// bundles or option prices, empty option lists, invalid `δ_j`.
     pub fn new(
         num_tasks: usize,
         bids: Vec<XorBid>,
@@ -152,14 +150,7 @@ impl XorInstance {
                 actual: deltas.len(),
             });
         }
-        for (j, &d) in deltas.iter().enumerate() {
-            if !(d > 0.0 && d < 1.0) {
-                return Err(McsError::InvalidErrorBound {
-                    task: TaskId(j as u32),
-                    value: d,
-                });
-            }
-        }
+        Instance::check_error_bounds(&deltas)?;
         for (i, xb) in bids.iter().enumerate() {
             let w = WorkerId(i as u32);
             if xb.options.is_empty() {

@@ -12,8 +12,9 @@
 //!
 //! Every transition is one WAL event; the in-memory [`Ledger`] is a pure
 //! fold over the event stream, so replaying the log after a crash
-//! reconstructs exactly the state the events describe. The commit
-//! protocol's invariant is payment atomicity:
+//! reconstructs exactly the state the events describe. Every write,
+//! settlement and recovery included, takes one path: append, one fsync,
+//! then fold. The commit protocol's invariant is payment atomicity:
 //!
 //! * `AuctionCommitted` is fsync'd **before** the commit is acknowledged
 //!   — it is the commit point. Once it is on disk the platform owes every
@@ -30,9 +31,11 @@
 //! [`WalError::InvalidSequence`], and roll-forward only appends what is
 //! missing, so recovering twice leaves the log byte-identical).
 //!
-//! Bid signatures are verified at admission, before the `BidAdmitted`
-//! event is written; replay trusts the log (its CRCs detect corruption)
-//! and does not re-run signature verification.
+//! Bids and stream arrivals are admitted by one check
+//! ([`RoundSpec`]'s roster, nonce replay window and one bid per worker),
+//! live and on replay alike. Signatures are verified at admission,
+//! before the event is written; replay trusts the log (its CRCs detect
+//! corruption) and does not re-run signature verification.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -42,8 +45,8 @@ use serde::{Deserialize, Serialize};
 
 use mcs_auction::{DpHsrcAuction, ScheduledMechanism};
 use mcs_num::rng;
-use mcs_sim::campaign::RoundPhase as LifecyclePhase;
-use mcs_types::{Bid, Bundle, Instance, Price, PriceGrid, SkillMatrix, TaskId, WorkerId};
+use mcs_sim::campaign::RoundPhase;
+use mcs_types::{Bid, Bundle, Instance, McsError, Price, PriceGrid, SkillMatrix, TaskId, WorkerId};
 
 use crate::envelope::{decode_public_key, BidEnvelope, EnvelopeError};
 use crate::stream::{StreamDecision, StreamReceipt, StreamSession, StreamSpec, StreamStatusView};
@@ -90,7 +93,10 @@ pub struct RoundSpec {
 }
 
 impl RoundSpec {
-    /// Structural validation, run before the spec enters the log.
+    /// Structural validation, run before the spec enters the log. Error
+    /// bounds and skills are held to the ranges an auction instance
+    /// needs, so an open round can always be auctioned. Replay does not
+    /// re-validate: a spec already in a log still opens.
     ///
     /// # Errors
     ///
@@ -107,13 +113,15 @@ impl RoundSpec {
                 self.num_tasks
             ));
         }
+        Instance::check_error_bounds(&self.error_bounds)
+            .map_err(|e| RoundError::InvalidSpec(e.to_string()))?;
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return fail(format!(
                 "epsilon {} is not positive and finite",
                 self.epsilon
             ));
         }
-        PriceGrid::new(self.price_min, self.price_max, self.price_step)
+        self.grid()
             .map_err(|e| RoundError::InvalidSpec(format!("price grid: {e}")))?;
         if self.cost_max < self.cost_min {
             return fail(format!(
@@ -144,11 +152,80 @@ impl RoundSpec {
                 RoundError::InvalidSpec(format!("worker {} key: {e}", entry.worker.0))
             })?;
         }
+        // An error's θ row index is the worker's position in the roster.
+        SkillMatrix::from_rows(self.roster.iter().map(|e| e.skills.clone()).collect())
+            .map_err(|e| RoundError::InvalidSpec(format!("roster skills: {e}")))?;
         Ok(())
     }
 
-    pub(crate) fn roster_entry(&self, worker: WorkerId) -> Option<&RosterEntry> {
+    pub(crate) fn grid(&self) -> Result<PriceGrid, McsError> {
+        PriceGrid::new(self.price_min, self.price_max, self.price_step)
+    }
+
+    fn roster_entry(&self, worker: WorkerId) -> Option<&RosterEntry> {
         self.roster.iter().find(|e| e.worker == worker)
+    }
+
+    /// The admission check every bid and stream arrival passes, live and
+    /// on replay: roster membership, the nonce replay window, then one
+    /// bid per worker. Returns the bidder's roster entry.
+    ///
+    /// A worker holds at most one admitted bid, so that one record
+    /// answers both later questions: its own nonce again is a replay
+    /// (reported as the replay it is), any other nonce a second bid.
+    pub(crate) fn admissible<'a>(
+        &self,
+        admitted: impl IntoIterator<Item = &'a AdmittedBid>,
+        worker: WorkerId,
+        nonce: u64,
+    ) -> Result<&RosterEntry, EnvelopeError> {
+        let entry = self
+            .roster_entry(worker)
+            .ok_or(EnvelopeError::UnknownWorker(worker))?;
+        match admitted.into_iter().find(|b| b.worker == worker) {
+            Some(prior) if prior.nonce == nonce => {
+                Err(EnvelopeError::ReplayedNonce { worker, nonce })
+            }
+            Some(_) => Err(EnvelopeError::DuplicateBid(worker)),
+            None => Ok(entry),
+        }
+    }
+
+    /// The auction instance over `bids` under this round's task model,
+    /// its dense worker indices in roster-id order, and the roster id of
+    /// each dense index.
+    ///
+    /// # Errors
+    ///
+    /// [`RoundError::Envelope`] ([`EnvelopeError::UnknownWorker`]) for a
+    /// bidder off the roster and [`RoundError::Infeasible`] when the bids
+    /// cannot form an instance.
+    pub(crate) fn instance<'a>(
+        &self,
+        bids: impl IntoIterator<Item = (WorkerId, &'a Bid)>,
+    ) -> Result<(Instance, Vec<WorkerId>), RoundError> {
+        let mut bids: Vec<(WorkerId, &Bid)> = bids.into_iter().collect();
+        bids.sort_by_key(|&(worker, _)| worker);
+        let rows = bids
+            .iter()
+            .map(|&(worker, _)| match self.roster_entry(worker) {
+                Some(entry) => Ok(entry.skills.clone()),
+                None => Err(EnvelopeError::UnknownWorker(worker)),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let infeasible = |e: McsError| RoundError::Infeasible(e.to_string());
+        let instance = Instance::builder(self.num_tasks)
+            .bids(bids.iter().map(|&(_, bid)| bid.clone()))
+            .skills(SkillMatrix::from_rows(rows).map_err(infeasible)?)
+            .error_bounds(self.error_bounds.clone())
+            .price_grid(self.grid().map_err(infeasible)?)
+            .cost_range(self.cost_min, self.cost_max)
+            .build()
+            .map_err(infeasible)?;
+        Ok((
+            instance,
+            bids.into_iter().map(|(worker, _)| worker).collect(),
+        ))
     }
 }
 
@@ -272,6 +349,16 @@ const TAG_STREAM_ARRIVAL: u8 = 8;
 const TAG_STREAM_CLOSED: u8 = 9;
 const TAG_STREAM_ABORTED: u8 = 10;
 
+/// Writes `tag` and then a spec's JSON form under a `u32` length prefix.
+/// Specs are plain structs with a fixed field order, so the bytes are
+/// deterministic.
+fn put_spec<T: Serialize>(out: &mut Vec<u8>, tag: u8, spec: &T) {
+    out.push(tag);
+    let json = serde_json::to_string(spec).expect("spec serializes");
+    out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    out.extend_from_slice(json.as_bytes());
+}
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -315,6 +402,14 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// A spec written by [`put_spec`]; `what` names it in errors.
+    fn spec<T: Deserialize>(&mut self, what: &str) -> Result<T, String> {
+        let len = self.u32()? as usize;
+        let json = std::str::from_utf8(self.take(len)?)
+            .map_err(|e| format!("{what} is not UTF-8: {e}"))?;
+        serde_json::from_str(json).map_err(|e| format!("{what} does not parse: {e}"))
+    }
+
     fn finish(self) -> Result<(), String> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -332,15 +427,9 @@ impl WalEvent {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            WalEvent::RoundOpened { spec } => {
-                out.push(TAG_ROUND_OPENED);
-                // The spec is a plain struct; its JSON form is reused as
-                // the payload (field order is fixed, so it is
-                // deterministic) under a length prefix.
-                let json = serde_json::to_string(spec).expect("spec serializes");
-                out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-                out.extend_from_slice(json.as_bytes());
-            }
+            WalEvent::RoundOpened { spec } => put_spec(&mut out, TAG_ROUND_OPENED, spec),
+            WalEvent::StreamOpened { spec } => put_spec(&mut out, TAG_STREAM_OPENED, spec),
+            // A stream arrival is an admitted bid plus its decision.
             WalEvent::BidAdmitted {
                 round_id,
                 worker,
@@ -348,8 +437,20 @@ impl WalEvent {
                 expires_at_ms,
                 bid,
                 signature,
+            }
+            | WalEvent::StreamArrival {
+                round_id,
+                worker,
+                nonce,
+                expires_at_ms,
+                bid,
+                signature,
+                ..
             } => {
-                out.push(TAG_BID_ADMITTED);
+                out.push(match self {
+                    WalEvent::BidAdmitted { .. } => TAG_BID_ADMITTED,
+                    _ => TAG_STREAM_ARRIVAL,
+                });
                 out.extend_from_slice(&round_id.to_le_bytes());
                 out.extend_from_slice(&worker.0.to_le_bytes());
                 out.extend_from_slice(&nonce.to_le_bytes());
@@ -361,6 +462,13 @@ impl WalEvent {
                     out.extend_from_slice(&task.0.to_le_bytes());
                 }
                 out.extend_from_slice(signature);
+                if let WalEvent::StreamArrival {
+                    accepted, payment, ..
+                } = self
+                {
+                    out.push(u8::from(*accepted));
+                    out.extend_from_slice(&payment.tenths().to_le_bytes());
+                }
             }
             WalEvent::AuctionCommitted {
                 round_id,
@@ -399,37 +507,6 @@ impl WalEvent {
                 out.push(TAG_ROUND_SETTLED);
                 out.extend_from_slice(&round_id.to_le_bytes());
             }
-            WalEvent::StreamOpened { spec } => {
-                out.push(TAG_STREAM_OPENED);
-                let json = serde_json::to_string(spec).expect("spec serializes");
-                out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-                out.extend_from_slice(json.as_bytes());
-            }
-            WalEvent::StreamArrival {
-                round_id,
-                worker,
-                nonce,
-                expires_at_ms,
-                bid,
-                signature,
-                accepted,
-                payment,
-            } => {
-                out.push(TAG_STREAM_ARRIVAL);
-                out.extend_from_slice(&round_id.to_le_bytes());
-                out.extend_from_slice(&worker.0.to_le_bytes());
-                out.extend_from_slice(&nonce.to_le_bytes());
-                out.extend_from_slice(&expires_at_ms.to_le_bytes());
-                out.extend_from_slice(&bid.price().tenths().to_le_bytes());
-                let tasks = bid.bundle().as_slice();
-                out.extend_from_slice(&(tasks.len() as u32).to_le_bytes());
-                for task in tasks {
-                    out.extend_from_slice(&task.0.to_le_bytes());
-                }
-                out.extend_from_slice(signature);
-                out.push(u8::from(*accepted));
-                out.extend_from_slice(&payment.tenths().to_le_bytes());
-            }
             WalEvent::StreamClosed { round_id } => {
                 out.push(TAG_STREAM_CLOSED);
                 out.extend_from_slice(&round_id.to_le_bytes());
@@ -452,15 +529,13 @@ impl WalEvent {
         let mut r = Reader::new(bytes);
         let tag = r.u8()?;
         let event = match tag {
-            TAG_ROUND_OPENED => {
-                let len = r.u32()? as usize;
-                let json = std::str::from_utf8(r.take(len)?)
-                    .map_err(|e| format!("spec is not UTF-8: {e}"))?;
-                let spec: RoundSpec =
-                    serde_json::from_str(json).map_err(|e| format!("spec does not parse: {e}"))?;
-                WalEvent::RoundOpened { spec }
-            }
-            TAG_BID_ADMITTED => {
+            TAG_ROUND_OPENED => WalEvent::RoundOpened {
+                spec: r.spec("spec")?,
+            },
+            TAG_STREAM_OPENED => WalEvent::StreamOpened {
+                spec: r.spec("stream spec")?,
+            },
+            TAG_BID_ADMITTED | TAG_STREAM_ARRIVAL => {
                 let round_id = r.u64()?;
                 let worker = WorkerId(r.u32()?);
                 let nonce = r.u64()?;
@@ -474,14 +549,33 @@ impl WalEvent {
                 for _ in 0..task_count {
                     tasks.push(TaskId(r.u32()?));
                 }
+                let bid = Bid::new(Bundle::new(tasks), price);
                 let signature: [u8; 64] = r.take(64)?.try_into().expect("64 bytes");
-                WalEvent::BidAdmitted {
-                    round_id,
-                    worker,
-                    nonce,
-                    expires_at_ms,
-                    bid: Bid::new(Bundle::new(tasks), price),
-                    signature,
+                if tag == TAG_BID_ADMITTED {
+                    WalEvent::BidAdmitted {
+                        round_id,
+                        worker,
+                        nonce,
+                        expires_at_ms,
+                        bid,
+                        signature,
+                    }
+                } else {
+                    let accepted = match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        other => return Err(format!("bad accepted flag {other}")),
+                    };
+                    WalEvent::StreamArrival {
+                        round_id,
+                        worker,
+                        nonce,
+                        expires_at_ms,
+                        bid,
+                        signature,
+                        accepted,
+                        payment: Price::from_tenths(r.i64()?),
+                    }
                 }
             }
             TAG_AUCTION_COMMITTED => {
@@ -518,46 +612,6 @@ impl WalEvent {
                 WalEvent::RoundAborted { round_id, reason }
             }
             TAG_ROUND_SETTLED => WalEvent::RoundSettled { round_id: r.u64()? },
-            TAG_STREAM_OPENED => {
-                let len = r.u32()? as usize;
-                let json = std::str::from_utf8(r.take(len)?)
-                    .map_err(|e| format!("stream spec is not UTF-8: {e}"))?;
-                let spec: StreamSpec = serde_json::from_str(json)
-                    .map_err(|e| format!("stream spec does not parse: {e}"))?;
-                WalEvent::StreamOpened { spec }
-            }
-            TAG_STREAM_ARRIVAL => {
-                let round_id = r.u64()?;
-                let worker = WorkerId(r.u32()?);
-                let nonce = r.u64()?;
-                let expires_at_ms = r.u64()?;
-                let price = Price::from_tenths(r.i64()?);
-                let task_count = r.u32()? as usize;
-                if task_count > bytes.len() {
-                    return Err(format!("bundle claims {task_count} tasks"));
-                }
-                let mut tasks = Vec::with_capacity(task_count);
-                for _ in 0..task_count {
-                    tasks.push(TaskId(r.u32()?));
-                }
-                let signature: [u8; 64] = r.take(64)?.try_into().expect("64 bytes");
-                let accepted = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(format!("bad accepted flag {other}")),
-                };
-                let payment = Price::from_tenths(r.i64()?);
-                WalEvent::StreamArrival {
-                    round_id,
-                    worker,
-                    nonce,
-                    expires_at_ms,
-                    bid: Bid::new(Bundle::new(tasks), price),
-                    signature,
-                    accepted,
-                    payment,
-                }
-            }
             TAG_STREAM_CLOSED => WalEvent::StreamClosed { round_id: r.u64()? },
             TAG_STREAM_ABORTED => WalEvent::StreamAborted { round_id: r.u64()? },
             other => return Err(format!("unknown event tag {other}")),
@@ -652,6 +706,13 @@ impl RoundError {
             RoundError::Wal(_) => "wal",
         }
     }
+
+    pub(crate) fn closed(round_id: u64, phase: RoundPhase) -> RoundError {
+        RoundError::RoundClosed {
+            round_id,
+            phase: phase.name().to_string(),
+        }
+    }
 }
 
 impl fmt::Display for RoundError {
@@ -687,7 +748,7 @@ impl From<WalError> for RoundError {
 // ---------------------------------------------------------------------------
 // The in-memory ledger (a pure fold over events)
 
-/// One bid after admission.
+/// One bid after admission: a durable round's bid or a stream's arrival.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmittedBid {
     /// The bidding worker.
@@ -702,22 +763,62 @@ pub struct AdmittedBid {
     pub signature: [u8; 64],
 }
 
+/// A committed round's outcome and the payments made against it.
+#[derive(Debug, Clone, PartialEq)]
+struct Commit {
+    seed: u64,
+    price: Price,
+    winners: Vec<WorkerId>,
+    paid: BTreeMap<u32, Price>,
+    /// LSN of the `RoundSettled` frame, once every winner is paid.
+    settled_at: Option<u64>,
+}
+
+impl Commit {
+    /// The events that pay every winner still unpaid, at the committed
+    /// price, and settle the round; none once it is settled.
+    fn settlement(&self, round_id: u64) -> Vec<WalEvent> {
+        if self.settled_at.is_some() {
+            return Vec::new();
+        }
+        self.winners
+            .iter()
+            .filter(|w| !self.paid.contains_key(&w.0))
+            .map(|&worker| WalEvent::PaymentIssued {
+                round_id,
+                worker,
+                amount: self.price,
+            })
+            .chain([WalEvent::RoundSettled { round_id }])
+            .collect()
+    }
+
+    /// The durable result, once the round is settled.
+    fn receipt(&self, round_id: u64) -> Option<CommitReceipt> {
+        let lsn = self.settled_at?;
+        Some(CommitReceipt {
+            round_id,
+            price: self.price,
+            winners: self.winners.clone(),
+            payments: self
+                .winners
+                .iter()
+                .map(|&worker| PaymentRecord {
+                    worker,
+                    amount: self.paid[&worker.0],
+                })
+                .collect(),
+            lsn,
+            already_committed: false,
+        })
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Phase {
     Open,
-    Committed {
-        seed: u64,
-        price: Price,
-        winners: Vec<WorkerId>,
-        paid: BTreeMap<u32, Price>,
-    },
-    Settled {
-        seed: u64,
-        receipt: CommitReceipt,
-    },
-    Aborted {
-        reason: AbortReason,
-    },
+    Committed(Commit),
+    Aborted(AbortReason),
 }
 
 impl Phase {
@@ -725,12 +826,14 @@ impl Phase {
     /// lifecycle. All legality questions (wire names, which transitions
     /// the fold may take) are answered by that machine, so the ledger
     /// cannot drift from the simulator's definition of a round.
-    fn lifecycle(&self) -> LifecyclePhase {
+    fn lifecycle(&self) -> RoundPhase {
         match self {
-            Phase::Open => LifecyclePhase::Open,
-            Phase::Committed { .. } => LifecyclePhase::Committed,
-            Phase::Settled { .. } => LifecyclePhase::Settled,
-            Phase::Aborted { .. } => LifecyclePhase::Aborted,
+            Phase::Open => RoundPhase::Open,
+            Phase::Committed(Commit {
+                settled_at: None, ..
+            }) => RoundPhase::Committed,
+            Phase::Committed(_) => RoundPhase::Settled,
+            Phase::Aborted(_) => RoundPhase::Aborted,
         }
     }
 
@@ -739,8 +842,17 @@ impl Phase {
     }
 
     /// Whether the shared lifecycle admits the transition `self → to`.
-    fn may_advance_to(&self, to: LifecyclePhase) -> bool {
+    fn may_advance_to(&self, to: RoundPhase) -> bool {
         self.lifecycle().can_advance_to(to)
+    }
+
+    /// The commit payments and the settle land on: committed, and not
+    /// yet settled.
+    fn unsettled(&mut self) -> Option<&mut Commit> {
+        match self {
+            Phase::Committed(commit) if commit.settled_at.is_none() => Some(commit),
+            _ => None,
+        }
     }
 }
 
@@ -749,7 +861,6 @@ impl Phase {
 pub struct RoundState {
     spec: RoundSpec,
     bids: Vec<AdmittedBid>,
-    nonces: BTreeSet<(u32, u64)>,
     phase: Phase,
 }
 
@@ -767,15 +878,10 @@ impl RoundState {
     /// The wire view of this round.
     pub fn view(&self) -> RoundStatusView {
         let (winners, total_paid) = match &self.phase {
-            Phase::Open | Phase::Aborted { .. } => (Vec::new(), Price::ZERO),
-            Phase::Committed { winners, paid, .. } => (
-                winners.clone(),
-                Price::from_tenths(paid.values().map(|p| p.tenths()).sum()),
-            ),
-            Phase::Settled { receipt, .. } => (
-                receipt.winners.clone(),
-                Price::from_tenths(receipt.payments.iter().map(|p| p.amount.tenths()).sum()),
-            ),
+            Phase::Open | Phase::Aborted(_) => (Vec::new(), Price::ZERO),
+            Phase::Committed(commit) => {
+                (commit.winners.clone(), commit.paid.values().copied().sum())
+            }
         };
         RoundStatusView {
             round_id: self.spec.round_id,
@@ -809,7 +915,7 @@ impl Ledger {
     pub fn live_rounds(&self) -> usize {
         self.rounds
             .values()
-            .filter(|r| matches!(r.phase, Phase::Open | Phase::Committed { .. }))
+            .filter(|r| !r.phase.lifecycle().is_terminal())
             .count()
     }
 
@@ -828,8 +934,17 @@ impl Ledger {
         self.streams.len()
     }
 
-    fn sequence_error(lsn: u64, detail: String) -> WalError {
-        WalError::InvalidSequence { lsn, detail }
+    /// Whether a round or a stream already holds `id`: the two share one
+    /// namespace.
+    fn id_taken(&self, id: u64) -> bool {
+        self.rounds.contains_key(&id) || self.streams.contains_key(&id)
+    }
+
+    fn commit(&self, round_id: u64) -> Option<&Commit> {
+        match &self.rounds.get(&round_id)?.phase {
+            Phase::Committed(commit) => Some(commit),
+            _ => None,
+        }
     }
 
     /// Folds one event into the state.
@@ -839,12 +954,10 @@ impl Ledger {
     /// [`WalError::InvalidSequence`] when the event is illegal in the
     /// current state; the state is unchanged in that case.
     pub fn apply(&mut self, event: &WalEvent, lsn: u64) -> Result<(), WalError> {
-        let err = |detail: String| Err(Self::sequence_error(lsn, detail));
+        let err = |detail: String| Err(WalError::InvalidSequence { lsn, detail });
         match event {
             WalEvent::RoundOpened { spec } => {
-                if self.rounds.contains_key(&spec.round_id)
-                    || self.streams.contains_key(&spec.round_id)
-                {
+                if self.id_taken(spec.round_id) {
                     return err(format!("round {} reopened", spec.round_id));
                 }
                 self.rounds.insert(
@@ -852,7 +965,6 @@ impl Ledger {
                     RoundState {
                         spec: spec.clone(),
                         bids: Vec::new(),
-                        nonces: BTreeSet::new(),
                         phase: Phase::Open,
                     },
                 );
@@ -871,14 +983,8 @@ impl Ledger {
                 if !matches!(round.phase, Phase::Open) {
                     return err(format!("bid for {} round {round_id}", round.phase.name()));
                 }
-                if round.spec.roster_entry(*worker).is_none() {
-                    return err(format!("bid from worker {} not on the roster", worker.0));
-                }
-                if round.bids.iter().any(|b| b.worker == *worker) {
-                    return err(format!("second bid from worker {}", worker.0));
-                }
-                if !round.nonces.insert((worker.0, *nonce)) {
-                    return err(format!("replayed nonce {nonce} from worker {}", worker.0));
+                if let Err(e) = round.spec.admissible(&round.bids, *worker, *nonce) {
+                    return err(format!("bid in round {round_id}: {e}"));
                 }
                 round.bids.push(AdmittedBid {
                     worker: *worker,
@@ -897,15 +1003,16 @@ impl Ledger {
                 let Some(round) = self.rounds.get_mut(round_id) else {
                     return err(format!("commit of unknown round {round_id}"));
                 };
-                if !round.phase.may_advance_to(LifecyclePhase::Committed) {
+                if !round.phase.may_advance_to(RoundPhase::Committed) {
                     return err(format!("commit of {} round {round_id}", round.phase.name()));
                 }
-                round.phase = Phase::Committed {
+                round.phase = Phase::Committed(Commit {
                     seed: *seed,
                     price: *price,
                     winners: winners.clone(),
                     paid: BTreeMap::new(),
-                };
+                    settled_at: None,
+                });
             }
             WalEvent::PaymentIssued {
                 round_id,
@@ -915,19 +1022,17 @@ impl Ledger {
                 let Some(round) = self.rounds.get_mut(round_id) else {
                     return err(format!("payment in unknown round {round_id}"));
                 };
-                let Phase::Committed { winners, paid, .. } = &mut round.phase else {
-                    return err(format!(
-                        "payment in {} round {round_id}",
-                        round.phase.name()
-                    ));
+                let name = round.phase.name();
+                let Some(commit) = round.phase.unsettled() else {
+                    return err(format!("payment in {name} round {round_id}"));
                 };
-                if !winners.contains(worker) {
+                if !commit.winners.contains(worker) {
                     return err(format!("payment to non-winner {}", worker.0));
                 }
-                if paid.contains_key(&worker.0) {
+                if commit.paid.contains_key(&worker.0) {
                     return err(format!("double payment to worker {}", worker.0));
                 }
-                paid.insert(worker.0, *amount);
+                commit.paid.insert(worker.0, *amount);
             }
             WalEvent::RoundAborted { round_id, reason } => {
                 let Some(round) = self.rounds.get_mut(round_id) else {
@@ -935,55 +1040,31 @@ impl Ledger {
                 };
                 // The shared machine rules out aborting a committed round:
                 // its payments are already durable.
-                if !round.phase.may_advance_to(LifecyclePhase::Aborted) {
+                if !round.phase.may_advance_to(RoundPhase::Aborted) {
                     return err(format!("abort of {} round {round_id}", round.phase.name()));
                 }
-                round.phase = Phase::Aborted { reason: *reason };
+                round.phase = Phase::Aborted(*reason);
             }
             WalEvent::RoundSettled { round_id } => {
                 let Some(round) = self.rounds.get_mut(round_id) else {
                     return err(format!("settle of unknown round {round_id}"));
                 };
-                // `Settled` is reachable only from `Committed` in the
-                // shared lifecycle, so the guard and the payload
-                // destructure are one check.
-                if !round.phase.may_advance_to(LifecyclePhase::Settled) {
-                    return err(format!("settle of {} round {round_id}", round.phase.name()));
-                }
-                let Phase::Committed {
-                    seed,
-                    price,
-                    winners,
-                    paid,
-                } = &round.phase
-                else {
-                    return err(format!("settle of {} round {round_id}", round.phase.name()));
+                let name = round.phase.name();
+                let Some(commit) = round.phase.unsettled() else {
+                    return err(format!("settle of {name} round {round_id}"));
                 };
-                if let Some(unpaid) = winners.iter().find(|w| !paid.contains_key(&w.0)) {
+                if let Some(unpaid) = commit
+                    .winners
+                    .iter()
+                    .find(|w| !commit.paid.contains_key(&w.0))
+                {
                     return err(format!("settle with winner {} unpaid", unpaid.0));
                 }
-                let receipt = CommitReceipt {
-                    round_id: *round_id,
-                    price: *price,
-                    winners: winners.clone(),
-                    payments: winners
-                        .iter()
-                        .map(|w| PaymentRecord {
-                            worker: *w,
-                            amount: paid[&w.0],
-                        })
-                        .collect(),
-                    lsn,
-                    already_committed: false,
-                };
-                round.phase = Phase::Settled {
-                    seed: *seed,
-                    receipt,
-                };
+                commit.settled_at = Some(lsn);
             }
             WalEvent::StreamOpened { spec } => {
                 let id = spec.round.round_id;
-                if self.rounds.contains_key(&id) || self.streams.contains_key(&id) {
+                if self.id_taken(id) {
                     return err(format!("stream {id} reopened"));
                 }
                 self.streams.insert(id, StreamSession::new(spec.clone()));
@@ -998,18 +1079,20 @@ impl Ledger {
                 accepted,
                 payment,
             } => {
-                let Some(stream) = self.streams.get(round_id) else {
+                let Some(stream) = self.streams.get_mut(round_id) else {
                     return err(format!("arrival for unknown stream {round_id}"));
                 };
-                stream
+                // Replay the admission check and the deterministic
+                // decision, and hold the log to them: a frame that
+                // disagrees with the fold is corruption (or tampering),
+                // not state.
+                let decided = stream
                     .check_admissible(*worker, *nonce)
-                    .map_err(|e| Self::sequence_error(lsn, format!("stream arrival: {e}")))?;
-                // Replay the deterministic decision and hold the log to it:
-                // a frame that disagrees with the fold is corruption (or
-                // tampering), not state.
-                let decision = stream
-                    .evaluate(*worker, bid)
-                    .map_err(|e| Self::sequence_error(lsn, format!("stream arrival: {e}")))?;
+                    .and_then(|()| stream.decide(*worker, bid));
+                let (decision, cover) = match decided {
+                    Ok(decided) => decided,
+                    Err(e) => return err(format!("stream arrival: {e}")),
+                };
                 if decision.accepted != *accepted || decision.payment != *payment {
                     return err(format!(
                         "stream {round_id} arrival of worker {} replays as \
@@ -1018,33 +1101,26 @@ impl Ledger {
                         worker.0, decision.accepted, decision.payment,
                     ));
                 }
-                self.streams
-                    .get_mut(round_id)
-                    .expect("stream fetched above")
-                    .apply_arrival(
-                        *worker,
-                        *nonce,
-                        *expires_at_ms,
-                        bid.clone(),
-                        *signature,
-                        &decision,
-                    );
-            }
-            WalEvent::StreamClosed { round_id } => {
-                let Some(stream) = self.streams.get_mut(round_id) else {
-                    return err(format!("close of unknown stream {round_id}"));
+                let admitted = AdmittedBid {
+                    worker: *worker,
+                    bid: bid.clone(),
+                    nonce: *nonce,
+                    expires_at_ms: *expires_at_ms,
+                    signature: *signature,
                 };
-                stream
-                    .close()
-                    .map_err(|e| Self::sequence_error(lsn, format!("stream close: {e}")))?;
+                stream.apply_arrival(admitted, &decision, &cover);
             }
-            WalEvent::StreamAborted { round_id } => {
-                let Some(stream) = self.streams.get_mut(round_id) else {
-                    return err(format!("abort of unknown stream {round_id}"));
+            WalEvent::StreamClosed { round_id } | WalEvent::StreamAborted { round_id } => {
+                let to = match event {
+                    WalEvent::StreamClosed { .. } => RoundPhase::Closed,
+                    _ => RoundPhase::Aborted,
                 };
-                stream
-                    .abort()
-                    .map_err(|e| Self::sequence_error(lsn, format!("stream abort: {e}")))?;
+                let Some(stream) = self.streams.get_mut(round_id) else {
+                    return err(format!("unknown stream {round_id} cannot be {to}"));
+                };
+                if let Err(e) = stream.advance(to) {
+                    return err(format!("stream {round_id} cannot be {to}: {e}"));
+                }
             }
         }
         Ok(())
@@ -1059,84 +1135,60 @@ impl Ledger {
             out.push(WalEvent::RoundOpened {
                 spec: round.spec.clone(),
             });
-            for bid in &round.bids {
-                out.push(WalEvent::BidAdmitted {
-                    round_id,
-                    worker: bid.worker,
-                    nonce: bid.nonce,
-                    expires_at_ms: bid.expires_at_ms,
-                    bid: bid.bid.clone(),
-                    signature: bid.signature,
-                });
-            }
+            out.extend(round.bids.iter().map(|b| WalEvent::BidAdmitted {
+                round_id,
+                worker: b.worker,
+                nonce: b.nonce,
+                expires_at_ms: b.expires_at_ms,
+                bid: b.bid.clone(),
+                signature: b.signature,
+            }));
             match &round.phase {
                 Phase::Open => {}
-                Phase::Committed {
-                    seed,
-                    price,
-                    winners,
-                    paid,
-                } => {
+                Phase::Committed(commit) => {
                     out.push(WalEvent::AuctionCommitted {
                         round_id,
-                        seed: *seed,
-                        price: *price,
-                        winners: winners.clone(),
+                        seed: commit.seed,
+                        price: commit.price,
+                        winners: commit.winners.clone(),
                     });
-                    for (&worker, &amount) in paid {
-                        out.push(WalEvent::PaymentIssued {
+                    out.extend(commit.paid.iter().map(|(&worker, &amount)| {
+                        WalEvent::PaymentIssued {
                             round_id,
                             worker: WorkerId(worker),
                             amount,
-                        });
+                        }
+                    }));
+                    if commit.settled_at.is_some() {
+                        out.push(WalEvent::RoundSettled { round_id });
                     }
                 }
-                Phase::Settled { seed, receipt } => {
-                    out.push(WalEvent::AuctionCommitted {
-                        round_id,
-                        seed: *seed,
-                        price: receipt.price,
-                        winners: receipt.winners.clone(),
-                    });
-                    for payment in &receipt.payments {
-                        out.push(WalEvent::PaymentIssued {
-                            round_id,
-                            worker: payment.worker,
-                            amount: payment.amount,
-                        });
-                    }
-                    out.push(WalEvent::RoundSettled { round_id });
-                }
-                Phase::Aborted { reason } => {
-                    out.push(WalEvent::RoundAborted {
-                        round_id,
-                        reason: *reason,
-                    });
-                }
+                Phase::Aborted(reason) => out.push(WalEvent::RoundAborted {
+                    round_id,
+                    reason: *reason,
+                }),
             }
         }
         for (&round_id, stream) in &self.streams {
             out.push(WalEvent::StreamOpened {
                 spec: stream.spec().clone(),
             });
-            for (worker, nonce, expires_at_ms, bid, signature, accepted, payment) in
-                stream.arrival_events()
-            {
-                out.push(WalEvent::StreamArrival {
+            out.extend(stream.arrivals().iter().map(|(b, accepted, payment)| {
+                WalEvent::StreamArrival {
                     round_id,
-                    worker,
-                    nonce,
-                    expires_at_ms,
-                    bid,
-                    signature,
-                    accepted,
-                    payment,
-                });
-            }
-            match stream.phase_name() {
-                "streaming" => {}
-                "closed" => out.push(WalEvent::StreamClosed { round_id }),
-                _ => out.push(WalEvent::StreamAborted { round_id }),
+                    worker: b.worker,
+                    nonce: b.nonce,
+                    expires_at_ms: b.expires_at_ms,
+                    bid: b.bid.clone(),
+                    signature: b.signature,
+                    accepted: *accepted,
+                    payment: *payment,
+                }
+            }));
+            match stream.phase() {
+                RoundPhase::Closed => out.push(WalEvent::StreamClosed { round_id }),
+                RoundPhase::Aborted => out.push(WalEvent::StreamAborted { round_id }),
+                _ => {}
             }
         }
         out
@@ -1227,10 +1279,10 @@ pub struct RecoveryReport {
 // ---------------------------------------------------------------------------
 // The durable ledger
 
-/// The [`Ledger`] plus its write-ahead log: every mutation is validated,
-/// appended to the WAL, fsync'd, and only then folded into
-/// memory — so the in-memory state never runs ahead of what recovery
-/// could rebuild.
+/// The [`Ledger`] plus its write-ahead log. Every mutation is validated,
+/// then written through one path: appended to the WAL, fsync'd, and
+/// only then folded into memory — so the in-memory state never runs
+/// ahead of what recovery could rebuild.
 pub struct DurableLedger {
     ledger: Ledger,
     wal: WalWriter,
@@ -1260,7 +1312,7 @@ impl DurableLedger {
         };
         let base = snapshot_lsn.unwrap_or(0) + 1;
         let wal_path = config.dir.join(WAL_FILE);
-        let (mut wal, scan, mode) = WalWriter::open_recovering(&wal_path, base)?;
+        let (wal, scan, mode) = WalWriter::open_recovering(&wal_path, base)?;
         let mut report = RecoveryReport {
             snapshot_lsn,
             truncated_tail_bytes: match mode {
@@ -1283,40 +1335,33 @@ impl DurableLedger {
             report.replayed_frames += 1;
         }
         report.recovered_rounds = ledger.live_rounds() as u64;
-
-        // Roll forward: a committed round is an obligation. Issue every
-        // missing payment at the committed price, then settle.
-        let committed: Vec<u64> = ledger
-            .rounds
-            .iter()
-            .filter(|(_, r)| matches!(r.phase, Phase::Committed { .. }))
-            .map(|(&id, _)| id)
-            .collect();
-        for round_id in committed {
-            report.completed_payments += Self::settle_committed(&mut ledger, &mut wal, round_id)?;
-        }
-
-        // Abort what was still open: no commit on disk means no client
-        // ever saw an ack, so the round carries no obligation.
-        let open: Vec<u64> = ledger
-            .rounds
-            .iter()
-            .filter(|(_, r)| matches!(r.phase, Phase::Open))
-            .map(|(&id, _)| id)
-            .collect();
-        for round_id in &open {
-            let event = WalEvent::RoundAborted {
-                round_id: *round_id,
-                reason: AbortReason::RecoveredInFlight,
-            };
-            let lsn = wal.append(&event.encode())?;
-            ledger.apply(&event, lsn)?;
-        }
-        report.aborted_in_flight = open.len() as u64;
         report.resumed_streams = ledger.live_streams() as u64;
-        wal.sync()?;
 
-        Ok(DurableLedger {
+        // Roll forward: a committed round is an obligation, so every
+        // missing payment is issued at the committed price and the round
+        // settled. Then abort what was still open: no commit on disk
+        // means no client ever saw an ack, so the round carries no
+        // obligation. One fsync covers both, even when nothing is owed.
+        let mut events = Vec::new();
+        for (&round_id, round) in &ledger.rounds {
+            if let Phase::Committed(commit) = &round.phase {
+                events.extend(commit.settlement(round_id));
+            }
+        }
+        report.completed_payments = events
+            .iter()
+            .filter(|e| matches!(e, WalEvent::PaymentIssued { .. }))
+            .count() as u64;
+        for (&round_id, round) in &ledger.rounds {
+            if matches!(round.phase, Phase::Open) {
+                events.push(WalEvent::RoundAborted {
+                    round_id,
+                    reason: AbortReason::RecoveredInFlight,
+                });
+                report.aborted_in_flight += 1;
+            }
+        }
+        let mut durable = DurableLedger {
             ledger,
             wal,
             dir: config.dir.clone(),
@@ -1325,56 +1370,24 @@ impl DurableLedger {
             recovery: report,
             rotated_frames: 0,
             rotated_fsyncs: 0,
-        })
+        };
+        durable.write(&events)?;
+        Ok(durable)
     }
 
-    /// Appends every missing `PaymentIssued` for a committed round and
-    /// settles it, returning how many payments were issued. Shared by
-    /// recovery roll-forward and the normal commit path.
-    fn settle_committed(
-        ledger: &mut Ledger,
-        wal: &mut WalWriter,
-        round_id: u64,
-    ) -> Result<u64, WalError> {
-        let round = ledger.rounds.get(&round_id).ok_or_else(|| {
-            Ledger::sequence_error(
-                wal.next_lsn(),
-                format!("settle of unknown round {round_id}"),
-            )
-        })?;
-        let Phase::Committed {
-            price,
-            winners,
-            paid,
-            ..
-        } = &round.phase
-        else {
-            return Err(Ledger::sequence_error(
-                wal.next_lsn(),
-                format!("settle of {} round {round_id}", round.phase.name()),
-            ));
-        };
-        let price = *price;
-        let missing: Vec<WorkerId> = winners
-            .iter()
-            .filter(|w| !paid.contains_key(&w.0))
-            .copied()
-            .collect();
-        let mut issued = 0;
-        for worker in missing {
-            let event = WalEvent::PaymentIssued {
-                round_id,
-                worker,
-                amount: price,
-            };
-            let lsn = wal.append(&event.encode())?;
-            ledger.apply(&event, lsn)?;
-            issued += 1;
+    /// The one write path: appends `events` to the log, fsyncs once (also
+    /// for no events), and only then folds them into memory. Returns the
+    /// highest synced LSN, the last event's.
+    fn write(&mut self, events: &[WalEvent]) -> Result<u64, WalError> {
+        let first = self.wal.next_lsn();
+        for event in events {
+            self.wal.append(&event.encode())?;
         }
-        let event = WalEvent::RoundSettled { round_id };
-        let lsn = wal.append(&event.encode())?;
-        ledger.apply(&event, lsn)?;
-        Ok(issued)
+        self.wal.sync()?;
+        for (lsn, event) in (first..).zip(events) {
+            self.ledger.apply(event, lsn)?;
+        }
+        Ok(self.wal.synced_lsn())
     }
 
     /// Opens a new round.
@@ -1385,16 +1398,10 @@ impl DurableLedger {
     /// wrapped [`WalError`].
     pub fn open_round(&mut self, spec: RoundSpec) -> Result<u64, RoundError> {
         spec.validate()?;
-        if self.ledger.rounds.contains_key(&spec.round_id)
-            || self.ledger.streams.contains_key(&spec.round_id)
-        {
+        if self.ledger.id_taken(spec.round_id) {
             return Err(RoundError::DuplicateRound(spec.round_id));
         }
-        let event = WalEvent::RoundOpened { spec };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
-        Ok(lsn)
+        Ok(self.write(&[WalEvent::RoundOpened { spec }])?)
     }
 
     /// Admits one signed bid: roster membership, nonce replay window,
@@ -1415,31 +1422,15 @@ impl DurableLedger {
             .get(&envelope.round_id)
             .ok_or(RoundError::UnknownRound(envelope.round_id))?;
         if !matches!(round.phase, Phase::Open) {
-            return Err(RoundError::RoundClosed {
-                round_id: envelope.round_id,
-                phase: round.phase.name().to_string(),
-            });
+            return Err(RoundError::closed(
+                envelope.round_id,
+                round.phase.lifecycle(),
+            ));
         }
         let entry = round
             .spec
-            .roster_entry(envelope.worker)
-            .ok_or(RoundError::Envelope(EnvelopeError::UnknownWorker(
-                envelope.worker,
-            )))?;
-        // The replay window is checked before one-bid-per-worker so a
-        // captured-and-resent envelope reports as the replay it is.
-        if round.nonces.contains(&(envelope.worker.0, envelope.nonce)) {
-            return Err(EnvelopeError::ReplayedNonce {
-                worker: envelope.worker,
-                nonce: envelope.nonce,
-            }
-            .into());
-        }
-        if round.bids.iter().any(|b| b.worker == envelope.worker) {
-            return Err(EnvelopeError::DuplicateBid(envelope.worker).into());
-        }
-        let key = decode_public_key(&entry.public_key)?;
-        envelope.verify(&key, now_ms)?;
+            .admissible(&round.bids, envelope.worker, envelope.nonce)?;
+        envelope.verify(&decode_public_key(&entry.public_key)?, now_ms)?;
         let event = WalEvent::BidAdmitted {
             round_id: envelope.round_id,
             worker: envelope.worker,
@@ -1448,10 +1439,7 @@ impl DurableLedger {
             bid: envelope.bid.clone(),
             signature: envelope.signature_bytes()?,
         };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
-        Ok(lsn)
+        Ok(self.write(&[event])?)
     }
 
     /// Commits a round: runs the DP-hSRC auction over the admitted bids,
@@ -1472,62 +1460,49 @@ impl DurableLedger {
             .rounds
             .get(&round_id)
             .ok_or(RoundError::UnknownRound(round_id))?;
-        match &round.phase {
-            Phase::Settled { receipt, .. } => {
-                let mut receipt = receipt.clone();
-                receipt.already_committed = true;
-                return Ok(receipt);
-            }
-            Phase::Aborted { .. } => {
-                return Err(RoundError::RoundClosed {
+        let already_committed = match &round.phase {
+            Phase::Aborted(_) => return Err(RoundError::closed(round_id, round.phase.lifecycle())),
+            Phase::Committed(_) => true,
+            Phase::Open => {
+                let (price, winners) = run_auction(&round.spec, &round.bids, seed)?;
+                // THE commit point: once this fsync returns, the
+                // obligation exists and will survive any crash.
+                self.write(&[WalEvent::AuctionCommitted {
                     round_id,
-                    phase: round.phase.name().to_string(),
-                });
+                    seed,
+                    price,
+                    winners,
+                }])?;
+                false
             }
-            Phase::Committed { .. } => {
-                // Only reachable if a previous commit failed between the
-                // commit point and settlement without crashing; finish
-                // the obligation now.
-                Self::settle_committed(&mut self.ledger, &mut self.wal, round_id)?;
-                self.wal.sync()?;
-                return self.commit_round(round_id, seed);
-            }
-            Phase::Open => {}
-        }
-
-        let (price, winners) = run_auction(&round.spec, &round.bids, seed)?;
-        let event = WalEvent::AuctionCommitted {
-            round_id,
-            seed,
-            price,
-            winners,
         };
-        let lsn = self.wal.append(&event.encode())?;
-        // THE commit point: once this fsync returns, the obligation
-        // exists and will survive any crash.
-        self.wal.sync().map_err(RoundError::Wal)?;
-        self.ledger.apply(&event, lsn)?;
-
-        Self::settle_committed(&mut self.ledger, &mut self.wal, round_id)?;
-        self.wal.sync()?;
-        self.maybe_snapshot()?;
-
-        match &self
+        // Pay and settle what is owed: all of it after a fresh commit,
+        // the rest after an earlier commit failed between its commit
+        // point and settlement without crashing, nothing once settled.
+        let settlement = self
             .ledger
-            .rounds
-            .get(&round_id)
-            .expect("round settled above")
-            .phase
-        {
-            Phase::Settled { receipt, .. } => Ok(receipt.clone()),
-            other => Err(RoundError::Wal(Ledger::sequence_error(
-                lsn,
-                format!("round {round_id} is {} after settling", other.name()),
-            ))),
+            .commit(round_id)
+            .map_or_else(Vec::new, |commit| commit.settlement(round_id));
+        if !settlement.is_empty() {
+            self.write(&settlement)?;
         }
+        if !already_committed {
+            self.maybe_snapshot()?;
+        }
+        let receipt = self
+            .ledger
+            .commit(round_id)
+            .and_then(|commit| commit.receipt(round_id))
+            .expect("the round is settled");
+        Ok(CommitReceipt {
+            already_committed,
+            ..receipt
+        })
     }
 
-    /// Aborts an open round on request.
+    /// Aborts an open round, or a live stream, on request. A stream's
+    /// payments already made stand; its abort only stops further
+    /// arrivals.
     ///
     /// # Errors
     ///
@@ -1535,25 +1510,20 @@ impl DurableLedger {
     /// committed round is an obligation and cannot be aborted), or a
     /// wrapped [`WalError`].
     pub fn abort_round(&mut self, round_id: u64) -> Result<u64, RoundError> {
-        let round = self
-            .ledger
-            .rounds
-            .get(&round_id)
-            .ok_or(RoundError::UnknownRound(round_id))?;
-        if !matches!(round.phase, Phase::Open) {
-            return Err(RoundError::RoundClosed {
+        let event = match (
+            self.ledger.rounds.get(&round_id),
+            self.ledger.stream(round_id),
+        ) {
+            (Some(round), _) if matches!(round.phase, Phase::Open) => WalEvent::RoundAborted {
                 round_id,
-                phase: round.phase.name().to_string(),
-            });
-        }
-        let event = WalEvent::RoundAborted {
-            round_id,
-            reason: AbortReason::Requested,
+                reason: AbortReason::Requested,
+            },
+            (Some(round), _) => return Err(RoundError::closed(round_id, round.phase.lifecycle())),
+            (None, Some(stream)) if stream.is_streaming() => WalEvent::StreamAborted { round_id },
+            (None, Some(stream)) => return Err(RoundError::closed(round_id, stream.phase())),
+            (None, None) => return Err(RoundError::UnknownRound(round_id)),
         };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
-        Ok(lsn)
+        Ok(self.write(&[event])?)
     }
 
     /// The wire view of one round.
@@ -1571,21 +1541,18 @@ impl DurableLedger {
     pub fn open_stream(&mut self, spec: StreamSpec) -> Result<u64, RoundError> {
         spec.validate()?;
         let id = spec.round.round_id;
-        if self.ledger.rounds.contains_key(&id) || self.ledger.streams.contains_key(&id) {
+        if self.ledger.id_taken(id) {
             return Err(RoundError::DuplicateRound(id));
         }
-        let event = WalEvent::StreamOpened { spec };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
-        Ok(lsn)
+        Ok(self.write(&[WalEvent::StreamOpened { spec }])?)
     }
 
-    /// Decides one stream arrival: admission checks (phase, roster, nonce
-    /// replay window, one arrival per worker), envelope expiry and
-    /// ed25519 signature, then the stage-sampling posted-price decision.
-    /// The arrival's frame is fsync'd before the ack; for an *accepted*
-    /// arrival that fsync is the commit point of its payment obligation.
+    /// Decides one stream arrival: the round admission checks (phase,
+    /// roster, nonce replay window, one arrival per worker), envelope
+    /// expiry and ed25519 signature, then the stage-sampling
+    /// posted-price decision. The arrival's frame is fsync'd before the
+    /// ack; for an *accepted* arrival that fsync is the commit point of
+    /// its payment obligation.
     ///
     /// # Errors
     ///
@@ -1603,17 +1570,8 @@ impl DurableLedger {
             .streams
             .get(&envelope.round_id)
             .ok_or(RoundError::UnknownRound(envelope.round_id))?;
-        stream.check_admissible(envelope.worker, envelope.nonce)?;
-        let entry =
-            stream
-                .spec()
-                .round
-                .roster_entry(envelope.worker)
-                .ok_or(RoundError::Envelope(EnvelopeError::UnknownWorker(
-                    envelope.worker,
-                )))?;
-        let key = decode_public_key(&entry.public_key)?;
-        envelope.verify(&key, now_ms)?;
+        let entry = stream.admissible(envelope.worker, envelope.nonce)?;
+        envelope.verify(&decode_public_key(&entry.public_key)?, now_ms)?;
         let decision = stream.evaluate(envelope.worker, &envelope.bid)?;
         let event = WalEvent::StreamArrival {
             round_id: envelope.round_id,
@@ -1625,9 +1583,7 @@ impl DurableLedger {
             accepted: decision.accepted,
             payment: decision.payment,
         };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
+        let lsn = self.write(&[event])?;
         Ok((decision, lsn))
     }
 
@@ -1645,52 +1601,14 @@ impl DurableLedger {
             .streams
             .get(&round_id)
             .ok_or(RoundError::UnknownRound(round_id))?;
-        if stream.is_closed() {
-            return Ok(stream.receipt(self.wal.synced_lsn(), true));
+        match stream.phase() {
+            RoundPhase::Streaming => {}
+            RoundPhase::Closed => return Ok(stream.receipt(self.wal.synced_lsn(), true)),
+            phase => return Err(RoundError::closed(round_id, phase)),
         }
-        if !stream.is_streaming() {
-            return Err(RoundError::RoundClosed {
-                round_id,
-                phase: stream.phase_name().to_string(),
-            });
-        }
-        let event = WalEvent::StreamClosed { round_id };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
+        let lsn = self.write(&[WalEvent::StreamClosed { round_id }])?;
         self.maybe_snapshot()?;
-        Ok(self
-            .ledger
-            .streams
-            .get(&round_id)
-            .expect("stream closed above")
-            .receipt(lsn, false))
-    }
-
-    /// Aborts a streaming session on request. Payments already made
-    /// stand; the abort only stops further arrivals.
-    ///
-    /// # Errors
-    ///
-    /// [`RoundError::UnknownRound`], [`RoundError::RoundClosed`], or a
-    /// wrapped [`WalError`].
-    pub fn abort_stream(&mut self, round_id: u64) -> Result<u64, RoundError> {
-        let stream = self
-            .ledger
-            .streams
-            .get(&round_id)
-            .ok_or(RoundError::UnknownRound(round_id))?;
-        if !stream.is_streaming() {
-            return Err(RoundError::RoundClosed {
-                round_id,
-                phase: stream.phase_name().to_string(),
-            });
-        }
-        let event = WalEvent::StreamAborted { round_id };
-        let lsn = self.wal.append(&event.encode())?;
-        self.wal.sync()?;
-        self.ledger.apply(&event, lsn)?;
-        Ok(lsn)
+        Ok(self.ledger.streams[&round_id].receipt(lsn, false))
     }
 
     /// The wire view of one stream.
@@ -1769,29 +1687,8 @@ fn run_auction(
     if bids.is_empty() {
         return Err(RoundError::Infeasible("no admitted bids".to_string()));
     }
-    let infeasible = |e: mcs_types::McsError| RoundError::Infeasible(e.to_string());
-    // Dense worker indices follow roster-id order for determinism.
-    let mut order: Vec<&AdmittedBid> = bids.iter().collect();
-    order.sort_by_key(|b| b.worker.0);
-    let rows: Vec<Vec<f64>> = order
-        .iter()
-        .map(|b| {
-            spec.roster_entry(b.worker)
-                .expect("admission checked the roster")
-                .skills
-                .clone()
-        })
-        .collect();
-    let instance = Instance::builder(spec.num_tasks)
-        .bids(order.iter().map(|b| b.bid.clone()))
-        .skills(SkillMatrix::from_rows(rows).map_err(infeasible)?)
-        .error_bounds(spec.error_bounds.clone())
-        .price_grid(
-            PriceGrid::new(spec.price_min, spec.price_max, spec.price_step).map_err(infeasible)?,
-        )
-        .cost_range(spec.cost_min, spec.cost_max)
-        .build()
-        .map_err(infeasible)?;
+    let (instance, ids) = spec.instance(bids.iter().map(|b| (b.worker, &b.bid)))?;
+    let infeasible = |e: McsError| RoundError::Infeasible(e.to_string());
     let pmf = DpHsrcAuction::new(spec.epsilon)
         .map_err(infeasible)?
         .pmf(&instance)
@@ -1800,7 +1697,7 @@ fn run_auction(
     let winners = outcome
         .winners()
         .iter()
-        .map(|dense| order[dense.0 as usize].worker)
+        .map(|dense| ids[dense.0 as usize])
         .collect();
     Ok((outcome.price(), winners))
 }
@@ -2239,7 +2136,7 @@ mod tests {
             durable.stream_arrival(&envelope(1, 1, 4), u64::MAX),
             Err(RoundError::Envelope(EnvelopeError::Expired { .. }))
         ));
-        durable.abort_stream(1).expect("abort");
+        durable.abort_round(1).expect("abort");
         assert!(matches!(
             durable.stream_arrival(&envelope(1, 1, 5), 0),
             Err(RoundError::RoundClosed { .. })

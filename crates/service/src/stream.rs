@@ -6,7 +6,10 @@
 //! irrevocable admit/reject decision at a posted price learned from the
 //! first [`StreamSpec::sample_target`] arrivals (who are observed, never
 //! paid). Admitted workers are paid the posted price on the spot, so
-//! every accepted arrival is a durable payment obligation.
+//! every accepted arrival is a durable payment obligation. Arrivals are
+//! admitted like a durable round's bids, by the same check and into the
+//! same bid record, and a stream is aborted like a round, with
+//! `abort_round`.
 //!
 //! [`StreamSession`] is a *pure deterministic fold*: its decisions depend
 //! only on the spec and the arrival prefix, never on the clock or any
@@ -19,30 +22,32 @@
 //! The posted price is drawn from the exponential-mechanism PMF over the
 //! sample schedule (the same ε-DP channel as the offline auction), and
 //! the density threshold is the least dense selection-time gain of the
-//! sample's greedy winner sequence at that price — mirroring
-//! `mcs_sim::online::StageThreshold` decision for decision.
-
-use std::collections::BTreeSet;
+//! sample's greedy winner sequence at that price. This follows
+//! `mcs_sim::online::StageThreshold`, with one difference: the session
+//! normalises the mechanism's exponent (`2 N c_max`) by the sample's
+//! size, the simulator by the whole pool's. Fed the simulator's
+//! timeline and seed, a stream therefore draws from a sharper PMF and
+//! can post a different price, and with it take different decisions.
 
 use serde::{Deserialize, Serialize};
 
 use mcs_auction::replay::{apply_coverage, greedy_sequence, marginal_coverage, selection_gains};
 use mcs_auction::{ExponentialMechanism, ScheduleEngine, SelectionRule};
 use mcs_num::rng;
-use mcs_types::{Bid, CoverageView, Instance, McsError, Price, PriceGrid, SkillMatrix, WorkerId};
+use mcs_types::{Bid, CoverageView, Price, SparseCoverage, WorkerId};
 
 use mcs_sim::campaign::{RoundPhase, RoundState};
 
-use crate::envelope::EnvelopeError;
-use crate::ledger::{RoundError, RoundSpec};
+use crate::ledger::{AdmittedBid, RosterEntry, RoundError, RoundSpec};
 
 /// Coverage slack mirroring the simulator's `COVER_EPS`.
 const COVER_EPS: f64 = 1e-9;
 /// Density slack mirroring the simulator's `DENSITY_EPS`.
 const DENSITY_EPS: f64 = 1e-12;
-/// Derivation stream of the posted-price draw — the same constant the
-/// simulator's stage-sampling mechanism uses, so a stream fed the
-/// simulator's timeline posts the simulator's price.
+/// Derivation stream of the posted-price draw: the constant the
+/// simulator's stage-sampling mechanism uses. The two draw from
+/// differently normalised PMFs (see the module docs), so the same seed
+/// need not post the same price.
 const STREAM_PRICE: u64 = 0x4F4E_4C50; // "ONLP"
 
 /// Everything a streaming session needs before arrivals start.
@@ -89,18 +94,6 @@ struct StreamThreshold {
     price: Price,
     density: f64,
     fallback: bool,
-}
-
-/// One arrival after admission, as the session remembers it.
-#[derive(Debug, Clone, PartialEq)]
-struct ArrivalRecord {
-    worker: WorkerId,
-    nonce: u64,
-    expires_at_ms: u64,
-    bid: Bid,
-    signature: [u8; 64],
-    accepted: bool,
-    payment: Price,
 }
 
 /// The immediate decision for one stream arrival.
@@ -180,44 +173,23 @@ pub struct StreamStatusView {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamSession {
     spec: StreamSpec,
-    arrivals: Vec<ArrivalRecord>,
-    nonces: BTreeSet<(u32, u64)>,
+    /// Every decided arrival, in order, with its `(accepted, payment)`.
+    arrivals: Vec<(AdmittedBid, bool, Price)>,
     threshold: Option<StreamThreshold>,
     /// Residual coverage requirements; empty until the first arrival
     /// fixes the requirement vector (it depends only on the spec's error
     /// bounds, which every arrival instance shares).
     residual: Vec<f64>,
     remaining: f64,
-    total_requirement: f64,
-    paid_tenths: i64,
     /// The shared round lifecycle, in its streaming column
     /// (`Streaming → Closed | Aborted`).
     lifecycle: RoundState,
 }
 
-/// A one-worker instance carrying the round's task model, so the shared
-/// replay kernels (`marginal_coverage`, `apply_coverage`) price this
-/// arrival's contribution without re-deriving any coverage formula here.
-fn arrival_instance(spec: &RoundSpec, skills: &[f64], bid: &Bid) -> Result<Instance, RoundError> {
-    let infeasible = |e: McsError| RoundError::Infeasible(e.to_string());
-    Instance::builder(spec.num_tasks)
-        .bids([bid.clone()])
-        .skills(SkillMatrix::from_rows(vec![skills.to_vec()]).map_err(infeasible)?)
-        .error_bounds(spec.error_bounds.clone())
-        .price_grid(
-            PriceGrid::new(spec.price_min, spec.price_max, spec.price_step).map_err(infeasible)?,
-        )
-        .cost_range(spec.cost_min, spec.cost_max)
-        .build()
-        .map_err(infeasible)
-}
-
 /// The most permissive posted price when the sample cannot cover: the
 /// grid maximum, with a zero density bar.
 fn fallback_threshold(spec: &RoundSpec) -> StreamThreshold {
-    let price = PriceGrid::new(spec.price_min, spec.price_max, spec.price_step)
-        .map(|g| g.max())
-        .unwrap_or(spec.price_max);
+    let price = spec.grid().map(|g| g.max()).unwrap_or(spec.price_max);
     StreamThreshold {
         price,
         density: 0.0,
@@ -231,12 +203,9 @@ impl StreamSession {
         StreamSession {
             spec,
             arrivals: Vec::new(),
-            nonces: BTreeSet::new(),
             threshold: None,
             residual: Vec::new(),
             remaining: 0.0,
-            total_requirement: 0.0,
-            paid_tenths: 0,
             lifecycle: RoundState::streaming(),
         }
     }
@@ -246,14 +215,19 @@ impl StreamSession {
         &self.spec
     }
 
+    /// The stream's lifecycle phase.
+    pub(crate) fn phase(&self) -> RoundPhase {
+        self.lifecycle.phase()
+    }
+
     /// The stream's lifecycle phase name.
     pub fn phase_name(&self) -> &'static str {
-        self.lifecycle.phase().name()
+        self.phase().name()
     }
 
     /// Whether the session still accepts arrivals.
     pub fn is_streaming(&self) -> bool {
-        self.lifecycle.phase() == RoundPhase::Streaming
+        self.phase() == RoundPhase::Streaming
     }
 
     /// The posted price, once the observation prefix completed.
@@ -267,6 +241,25 @@ impl StreamSession {
         self.threshold.map(|t| t.fallback)
     }
 
+    /// Every decided arrival, in order, with its `(accepted, payment)`.
+    pub(crate) fn arrivals(&self) -> &[(AdmittedBid, bool, Price)] {
+        &self.arrivals
+    }
+
+    /// The phase check, then the round's admission check over the
+    /// arrivals so far; returns the arriving worker's roster entry.
+    pub(crate) fn admissible(
+        &self,
+        worker: WorkerId,
+        nonce: u64,
+    ) -> Result<&RosterEntry, RoundError> {
+        if !self.is_streaming() {
+            return Err(RoundError::closed(self.spec.round.round_id, self.phase()));
+        }
+        let admitted = self.arrivals.iter().map(|(bid, ..)| bid);
+        Ok(self.spec.round.admissible(admitted, worker, nonce)?)
+    }
+
     /// The stateful admission checks, in the same order as durable bid
     /// submission: phase, roster membership, nonce replay window, then
     /// one-arrival-per-worker.
@@ -275,22 +268,7 @@ impl StreamSession {
     ///
     /// [`RoundError::RoundClosed`] or a typed [`RoundError::Envelope`].
     pub fn check_admissible(&self, worker: WorkerId, nonce: u64) -> Result<(), RoundError> {
-        if !self.is_streaming() {
-            return Err(RoundError::RoundClosed {
-                round_id: self.spec.round.round_id,
-                phase: self.phase_name().to_string(),
-            });
-        }
-        if self.spec.round.roster_entry(worker).is_none() {
-            return Err(EnvelopeError::UnknownWorker(worker).into());
-        }
-        if self.nonces.contains(&(worker.0, nonce)) {
-            return Err(EnvelopeError::ReplayedNonce { worker, nonce }.into());
-        }
-        if self.arrivals.iter().any(|a| a.worker == worker) {
-            return Err(EnvelopeError::DuplicateBid(worker).into());
-        }
-        Ok(())
+        self.admissible(worker, nonce).map(|_| ())
     }
 
     /// Computes the decision this arrival would get, without mutating the
@@ -302,29 +280,28 @@ impl StreamSession {
     /// [`RoundError::Infeasible`] when the bid cannot form an instance
     /// under the round's task model (out-of-range bundle or price).
     pub fn evaluate(&self, worker: WorkerId, bid: &Bid) -> Result<StreamDecision, RoundError> {
-        let entry = self
-            .spec
-            .round
-            .roster_entry(worker)
-            .ok_or(RoundError::Envelope(EnvelopeError::UnknownWorker(worker)))?;
-        let instance = arrival_instance(&self.spec.round, &entry.skills, bid)?;
-        let cover = instance.sparse_coverage();
-        let fresh;
-        let residual: &[f64] = if self.residual.is_empty() {
-            fresh = cover.requirements().to_vec();
-            &fresh
-        } else {
-            &self.residual
-        };
-        let gain = marginal_coverage(&cover, WorkerId(0), residual);
+        Ok(self.decide(worker, bid)?.0)
+    }
 
+    /// [`StreamSession::evaluate`], plus the arrival's coverage: a
+    /// one-worker instance under the round's task model, which the fold
+    /// applies for an accept.
+    pub(crate) fn decide(
+        &self,
+        worker: WorkerId,
+        bid: &Bid,
+    ) -> Result<(StreamDecision, SparseCoverage), RoundError> {
+        let (instance, _) = self.spec.round.instance([(worker, bid)])?;
+        let cover = instance.sparse_coverage();
         if self.arrivals.len() < self.spec.sample_target {
-            return Ok(StreamDecision::rejected("sample_observed", None));
+            return Ok((StreamDecision::rejected("sample_observed", None), cover));
         }
         let t = self
             .threshold
             .expect("threshold is learned when the sample completes");
         let posted = Some(t.price);
+        // The first arrival fixed the residual, so it is set by now.
+        let gain = marginal_coverage(&cover, WorkerId(0), &self.residual);
         let decision = if self.remaining <= COVER_EPS {
             StreamDecision::rejected("coverage_met", posted)
         } else if bid.price() > t.price {
@@ -341,50 +318,27 @@ impl StreamSession {
                 posted_price: posted,
             }
         };
-        Ok(decision)
+        Ok((decision, cover))
     }
 
-    /// Folds one admissible, already-evaluated arrival into the session:
-    /// records it, burns the nonce, applies coverage for accepts, and
-    /// learns the threshold when the observation prefix completes.
+    /// Folds one admissible, already-decided arrival into the session:
+    /// records it, applies its coverage for an accept, and learns the
+    /// threshold when the observation prefix completes.
     pub(crate) fn apply_arrival(
         &mut self,
-        worker: WorkerId,
-        nonce: u64,
-        expires_at_ms: u64,
-        bid: Bid,
-        signature: [u8; 64],
+        bid: AdmittedBid,
         decision: &StreamDecision,
+        cover: &SparseCoverage,
     ) {
-        let skills = self
-            .spec
-            .round
-            .roster_entry(worker)
-            .expect("evaluate checked the roster")
-            .skills
-            .clone();
-        if let Ok(instance) = arrival_instance(&self.spec.round, &skills, &bid) {
-            let cover = instance.sparse_coverage();
-            if self.residual.is_empty() {
-                self.residual = cover.requirements().to_vec();
-                self.total_requirement = self.residual.iter().map(|r| r.max(0.0)).sum();
-                self.remaining = self.total_requirement;
-            }
-            if decision.accepted {
-                apply_coverage(&cover, WorkerId(0), &mut self.residual, &mut self.remaining);
-                self.paid_tenths += decision.payment.tenths();
-            }
+        if self.residual.is_empty() {
+            self.residual = cover.requirements().to_vec();
+            self.remaining = self.residual.iter().map(|r| r.max(0.0)).sum();
         }
-        self.nonces.insert((worker.0, nonce));
-        self.arrivals.push(ArrivalRecord {
-            worker,
-            nonce,
-            expires_at_ms,
-            bid,
-            signature,
-            accepted: decision.accepted,
-            payment: decision.payment,
-        });
+        if decision.accepted {
+            apply_coverage(cover, WorkerId(0), &mut self.residual, &mut self.remaining);
+        }
+        self.arrivals
+            .push((bid, decision.accepted, decision.payment));
         if self.arrivals.len() == self.spec.sample_target {
             self.threshold = Some(self.learn_threshold());
         }
@@ -397,34 +351,10 @@ impl StreamSession {
     /// gain of the sample's greedy winner sequence at that price.
     fn learn_threshold(&self) -> StreamThreshold {
         let spec = &self.spec.round;
-        let mut sample: Vec<&ArrivalRecord> =
-            self.arrivals.iter().take(self.spec.sample_target).collect();
-        // Dense worker indices follow roster-id order, as in the offline
-        // commit path.
-        sample.sort_by_key(|a| a.worker.0);
-        let rows: Vec<Vec<f64>> = sample
+        let sample = self.arrivals[..self.spec.sample_target]
             .iter()
-            .map(|a| {
-                spec.roster_entry(a.worker)
-                    .expect("admission checked the roster")
-                    .skills
-                    .clone()
-            })
-            .collect();
-        let Ok(grid) = PriceGrid::new(spec.price_min, spec.price_max, spec.price_step) else {
-            return fallback_threshold(spec);
-        };
-        let built = Instance::builder(spec.num_tasks)
-            .bids(sample.iter().map(|a| a.bid.clone()))
-            .skills(match SkillMatrix::from_rows(rows) {
-                Ok(skills) => skills,
-                Err(_) => return fallback_threshold(spec),
-            })
-            .error_bounds(spec.error_bounds.clone())
-            .price_grid(grid)
-            .cost_range(spec.cost_min, spec.cost_max)
-            .build();
-        let Ok(instance) = built else {
+            .map(|(b, ..)| (b.worker, &b.bid));
+        let Ok((instance, _)) = spec.instance(sample) else {
             return fallback_threshold(spec);
         };
         let engine = ScheduleEngine::new(SelectionRule::MarginalCoverage);
@@ -463,51 +393,32 @@ impl StreamSession {
         }
     }
 
-    /// Transitions the session to closed.
+    /// Moves the session to `to`: `Closed` or `Aborted`. Payments
+    /// already made stand — either only stops further arrivals.
     ///
     /// # Errors
     ///
     /// [`RoundError::RoundClosed`] unless the session is streaming.
-    pub(crate) fn close(&mut self) -> Result<(), RoundError> {
-        if self.lifecycle.advance(RoundPhase::Closed).is_err() {
-            return Err(RoundError::RoundClosed {
-                round_id: self.spec.round.round_id,
-                phase: self.phase_name().to_string(),
-            });
+    pub(crate) fn advance(&mut self, to: RoundPhase) -> Result<(), RoundError> {
+        match self.lifecycle.advance(to) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(RoundError::closed(self.spec.round.round_id, self.phase())),
         }
-        Ok(())
-    }
-
-    /// Transitions the session to aborted. Payments already made stand —
-    /// an abort only stops further arrivals.
-    ///
-    /// # Errors
-    ///
-    /// [`RoundError::RoundClosed`] unless the session is streaming.
-    pub(crate) fn abort(&mut self) -> Result<(), RoundError> {
-        if self.lifecycle.advance(RoundPhase::Aborted).is_err() {
-            return Err(RoundError::RoundClosed {
-                round_id: self.spec.round.round_id,
-                phase: self.phase_name().to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Whether the session is already closed (for idempotent re-close).
-    pub(crate) fn is_closed(&self) -> bool {
-        self.lifecycle.phase() == RoundPhase::Closed
     }
 
     fn accepted_workers(&self) -> Vec<WorkerId> {
         let mut accepted: Vec<WorkerId> = self
             .arrivals
             .iter()
-            .filter(|a| a.accepted)
-            .map(|a| a.worker)
+            .filter(|(_, accepted, _)| *accepted)
+            .map(|(b, ..)| b.worker)
             .collect();
         accepted.sort_unstable();
         accepted
+    }
+
+    fn total_paid(&self) -> Price {
+        self.arrivals.iter().map(|&(_, _, payment)| payment).sum()
     }
 
     fn covered(&self) -> bool {
@@ -521,7 +432,7 @@ impl StreamSession {
             arrivals: self.arrivals.len(),
             accepted: self.accepted_workers(),
             posted_price: self.posted_price(),
-            total_paid: Price::from_tenths(self.paid_tenths),
+            total_paid: self.total_paid(),
             covered: self.covered(),
             lsn,
             already_closed,
@@ -537,33 +448,16 @@ impl StreamSession {
             sample_target: self.spec.sample_target,
             accepted: self.accepted_workers(),
             posted_price: self.posted_price(),
-            total_paid: Price::from_tenths(self.paid_tenths),
+            total_paid: self.total_paid(),
             covered: self.covered(),
         }
-    }
-
-    /// Iterates the recorded arrivals as `(worker, nonce, expires_at_ms,
-    /// bid, signature, accepted, payment)` for event re-emission.
-    pub(crate) fn arrival_events(
-        &self,
-    ) -> impl Iterator<Item = (WorkerId, u64, u64, Bid, [u8; 64], bool, Price)> + '_ {
-        self.arrivals.iter().map(|a| {
-            (
-                a.worker,
-                a.nonce,
-                a.expires_at_ms,
-                a.bid.clone(),
-                a.signature,
-                a.accepted,
-                a.payment,
-            )
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::EnvelopeError;
     use crate::ledger::RosterEntry;
     use ed25519::{hex_encode, SigningKey};
     use mcs_types::{Bundle, TaskId};
@@ -612,15 +506,15 @@ mod tests {
         session
             .check_admissible(WorkerId(worker), u64::from(worker) + 1)
             .expect("admissible");
-        let decision = session.evaluate(WorkerId(worker), &bid).expect("evaluated");
-        session.apply_arrival(
-            WorkerId(worker),
-            u64::from(worker) + 1,
-            1_000_000,
+        let (decision, cover) = session.decide(WorkerId(worker), &bid).expect("evaluated");
+        let admitted = AdmittedBid {
+            worker: WorkerId(worker),
             bid,
-            [0u8; 64],
-            &decision,
-        );
+            nonce: u64::from(worker) + 1,
+            expires_at_ms: 1_000_000,
+            signature: [0u8; 64],
+        };
+        session.apply_arrival(admitted, &decision, &cover);
         decision
     }
 
@@ -697,12 +591,15 @@ mod tests {
             ))))
         ));
         // Closed session refuses everything.
-        session.close().expect("close");
+        session.advance(RoundPhase::Closed).expect("close");
         assert!(matches!(
             session.check_admissible(WorkerId(1), 2),
             Err(RoundError::RoundClosed { .. })
         ));
-        assert!(session.close().is_err(), "double close is refused");
+        assert!(
+            session.advance(RoundPhase::Closed).is_err(),
+            "double close is refused"
+        );
     }
 
     #[test]
@@ -738,7 +635,7 @@ mod tests {
         for w in 0..8 {
             feed(&mut session, w);
         }
-        session.close().expect("close");
+        session.advance(RoundPhase::Closed).expect("close");
         let receipt = session.receipt(42, false);
         assert_eq!(receipt.round_id, 5);
         assert_eq!(receipt.arrivals, 8);

@@ -9,7 +9,8 @@
 //! produces a `busy` *line*, never a stalled or reset connection.
 //! Connection threads are scoped to the accept thread, so a closed
 //! connection's thread and stack are released when it ends, not at
-//! shutdown.
+//! shutdown. The accept thread blocks in `accept`; shutdown wakes it by
+//! connecting to the listener itself.
 //!
 //! The client side honours that backpressure: [`TcpClient::call`]
 //! retries `busy` answers under a [`RetryPolicy`] — jittered exponential
@@ -18,7 +19,7 @@
 //! [`TcpClient::call_once`] to see raw `busy` responses.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,7 +32,7 @@ use mcs_num::rng;
 use crate::server::Client;
 use crate::wire::{decode_request, decode_response, Request, Response};
 
-/// How often blocked I/O loops re-check the stop flag.
+/// How often a connection's blocked read re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// A TCP front-end serving a [`Client`]'s service on a local socket.
@@ -51,29 +52,27 @@ impl TcpServer {
     pub fn bind<A: ToSocketAddrs>(client: Client, addr: A) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
             .name("mcs-service-accept".to_string())
             .spawn(move || {
                 std::thread::scope(|scope| {
-                    while !stop_accept.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let (client, stop) = (&client, &*stop_accept);
-                                // A failed spawn drops (closes) the stream.
-                                let _ = std::thread::Builder::new()
-                                    .name("mcs-service-conn".to_string())
-                                    .spawn_scoped(scope, move || {
-                                        serve_connection(stream, client, stop);
-                                    });
-                            }
-                            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL);
-                            }
-                            Err(_) => break,
+                    for stream in listener.incoming() {
+                        // Shutdown sets the flag before its wake-up
+                        // connection, so that connection always stops
+                        // the loop here.
+                        if stop_accept.load(Ordering::SeqCst) {
+                            break;
                         }
+                        let Ok(stream) = stream else { break };
+                        let (client, stop) = (&client, &*stop_accept);
+                        // A failed spawn drops (closes) the stream.
+                        let _ = std::thread::Builder::new()
+                            .name("mcs-service-conn".to_string())
+                            .spawn_scoped(scope, move || {
+                                serve_connection(stream, client, stop);
+                            });
                     }
                 });
             })
@@ -100,6 +99,16 @@ impl TcpServer {
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
+            // Wake the blocked accept; an unspecified bind address is
+            // reached through loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = handle.join();
         }
     }

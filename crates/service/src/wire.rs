@@ -90,9 +90,10 @@ pub enum Request {
         /// Seed of the price draw.
         seed: u64,
     },
-    /// Abort an open durable round.
+    /// Abort an open durable round, or a live stream (streams share the
+    /// id namespace; payments a stream already made stand).
     AbortRound {
-        /// The round to abort.
+        /// The round or stream to abort.
         round_id: u64,
     },
     /// The current phase and totals of a durable round (or stream —
@@ -189,11 +190,11 @@ pub enum Response {
     },
     /// A durable round committed (or replayed its recorded commit).
     Committed(Box<CommitReceipt>),
-    /// A durable round was aborted on request.
+    /// A durable round or a stream was aborted on request.
     Aborted {
-        /// The aborted round.
+        /// The aborted round or stream.
         round_id: u64,
-        /// LSN of the `RoundAborted` frame.
+        /// LSN of the `RoundAborted` or `StreamAborted` frame.
         lsn: u64,
     },
     /// The phase and totals of a durable round.

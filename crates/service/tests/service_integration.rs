@@ -374,6 +374,27 @@ fn malformed_tcp_line_answers_error_and_keeps_connection() {
     service.shutdown();
 }
 
+/// A server bound to the unspecified address shuts down promptly: the
+/// accept loop blocks in `accept`, and shutdown wakes it through
+/// loopback.
+#[test]
+fn a_server_on_the_unspecified_address_shuts_down_within_a_second() {
+    let service = Service::start(ServiceConfig::default());
+    let tcp = TcpServer::bind(service.client(), "0.0.0.0:0").expect("bind 0.0.0.0");
+    let port = tcp.local_addr().port();
+    let mut conn = TcpClient::connect(("127.0.0.1", port)).expect("connect through loopback");
+    assert!(matches!(
+        conn.call(&Request::Health),
+        Ok(Response::Health(_))
+    ));
+    drop(conn);
+    let start = std::time::Instant::now();
+    tcp.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    service.shutdown();
+}
+
 /// Instances the builder would refuse are refused on the wire, and the
 /// service keeps answering. Each line is one edit of a valid request that
 /// the JSON grammar alone accepts: θ = 7.5, δ = 1.5, a bundle task past the

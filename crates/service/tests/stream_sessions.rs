@@ -259,6 +259,94 @@ fn streams_resume_across_a_service_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `abort_round` aborts a stream too: streams share the round-id
+/// namespace. Later arrivals are refused as `round_closed`, the status
+/// reads `aborted`, and both survive a restart with every payment made
+/// before the abort still standing.
+#[test]
+fn abort_round_aborts_a_stream_and_its_payments_stand() {
+    let dir = temp_dir("abort");
+    let service = Service::start(durable_config(&dir));
+    let tcp = TcpServer::bind(service.client(), "127.0.0.1:0").expect("bind loopback");
+    let mut conn = TcpClient::connect(tcp.local_addr()).expect("connect");
+    let opened = conn
+        .call(&Request::OpenStream {
+            spec: stream_spec(3, 8, 2),
+        })
+        .expect("answered");
+    assert!(
+        matches!(opened, Response::StreamOpened { .. }),
+        "{opened:?}"
+    );
+
+    let mut accepted = Vec::new();
+    let mut paid = Price::ZERO;
+    for w in 0..6u32 {
+        let response = conn
+            .call(&Request::Arrive {
+                envelope: envelope(3, w, 300 + u64::from(w)),
+            })
+            .expect("answered");
+        let Response::ArrivalDecided {
+            accepted: admit,
+            payment,
+            ..
+        } = response
+        else {
+            panic!("expected a decision, got {response:?}");
+        };
+        if admit {
+            accepted.push(WorkerId(w));
+        }
+        paid += payment;
+    }
+    assert!(!accepted.is_empty(), "the abort must have payments to keep");
+
+    let aborted = conn
+        .call(&Request::AbortRound { round_id: 3 })
+        .expect("answered");
+    assert!(
+        matches!(aborted, Response::Aborted { round_id: 3, .. }),
+        "{aborted:?}"
+    );
+
+    let check = |conn: &mut TcpClient| {
+        let response = conn
+            .call(&Request::Arrive {
+                envelope: envelope(3, 6, 306),
+            })
+            .expect("answered");
+        assert!(
+            matches!(response, Response::Rejected { ref code, .. } if code == "round_closed"),
+            "{response:?}"
+        );
+        let Ok(Response::StreamStatus(status)) = conn.call(&Request::RoundStatus { round_id: 3 })
+        else {
+            panic!("stream status probe failed");
+        };
+        assert_eq!(status.phase, "aborted");
+        assert_eq!(status.arrivals, 6);
+        assert_eq!(status.accepted, accepted);
+        assert_eq!(status.total_paid, paid);
+    };
+    check(&mut conn);
+    tcp.shutdown();
+    service.shutdown();
+
+    let service = Service::start(durable_config(&dir));
+    let recovery = service.recovery().expect("durability enabled");
+    assert_eq!(
+        recovery.resumed_streams, 0,
+        "an aborted stream stays aborted"
+    );
+    let tcp = TcpServer::bind(service.client(), "127.0.0.1:0").expect("rebind");
+    let mut conn = TcpClient::connect(tcp.local_addr()).expect("reconnect");
+    check(&mut conn);
+    tcp.shutdown();
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A seeded 200-arrival stream driven entirely through the service
 /// endpoints, with a kill-and-recover in the middle — the CI smoke
 /// workload. Also the determinism check at service scale: replaying the

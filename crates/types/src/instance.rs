@@ -189,14 +189,7 @@ impl Instance {
                 actual: self.deltas.len(),
             });
         }
-        for (j, &d) in self.deltas.iter().enumerate() {
-            if !(d > 0.0 && d < 1.0) {
-                return Err(McsError::InvalidErrorBound {
-                    task: TaskId(j as u32),
-                    value: d,
-                });
-            }
-        }
+        Instance::check_error_bounds(&self.deltas)?;
         for (wid, bid) in self.bids.iter() {
             let tasks = bid.bundle().as_slice();
             if tasks.is_empty() {
@@ -216,6 +209,22 @@ impl Instance {
             }
         }
         self.completion.validate(self.bids.len(), self.num_tasks)
+    }
+
+    /// Checks that every error bound `δ_j` lies in the open interval
+    /// `(0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::InvalidErrorBound`] for the first bound outside it.
+    pub fn check_error_bounds(deltas: &[f64]) -> Result<(), McsError> {
+        match deltas.iter().position(|&d| !(d > 0.0 && d < 1.0)) {
+            Some(j) => Err(McsError::InvalidErrorBound {
+                task: TaskId(j as u32),
+                value: deltas[j],
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Derives the covering problem `(q, Q)` of the TPM formulation.
