@@ -2,8 +2,15 @@
 //! durable service endpoints, and the incremental vs from-scratch
 //! hindsight-pricing comparison in `mcs-sim`'s online module.
 //!
-//! Two measurements land in `BENCH_online.json`:
+//! Three measurements land in `BENCH_online.json`, with the measured
+//! commit and the number of available cores:
 //!
+//! * **signature** — p50 of the vendored ed25519's
+//!   `VerifyingKey::from_bytes` (paid per roster key when a round or
+//!   stream opens), `VerifyingKey::verify` (paid by every `arrive`) and
+//!   `SigningKey::sign`, over `SIGNATURE_KEYS` keys × `SIGNATURE_REPEATS`.
+//!   Every timed signature must verify and a one-bit corruption of it
+//!   must not; otherwise the bin panics and exits non-zero.
 //! * **service arrivals** — a seeded stream driven through
 //!   `open_stream` / `arrive` / `close_stream` on a durable service
 //!   (fsync-on-accept), with exact client-side latency quantiles per
@@ -26,7 +33,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use ed25519::{hex_encode, SigningKey};
+use ed25519::{hex_encode, Signature, SigningKey, VerifyingKey};
 use mcs_service::{
     BidEnvelope, DurabilityConfig, Request, Response, RosterEntry, RoundSpec, Service,
     ServiceConfig, StreamSpec,
@@ -38,6 +45,20 @@ use mcs_sim::Setting;
 use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
 
 const REPEATS: usize = 3;
+const SIGNATURE_KEYS: u32 = 200;
+const SIGNATURE_REPEATS: usize = 5;
+
+#[derive(Debug, Serialize)]
+struct SignatureLayer {
+    keys: u32,
+    repeats: usize,
+    /// p50 of `VerifyingKey::from_bytes` (point decompression), µs.
+    decompress_p50_us: f64,
+    /// p50 of `VerifyingKey::verify` on a valid signature, µs.
+    verify_p50_us: f64,
+    /// p50 of `SigningKey::sign`, µs.
+    sign_p50_us: f64,
+}
 
 #[derive(Debug, Serialize)]
 struct ArrivalScenario {
@@ -77,8 +98,11 @@ struct PricingScenario {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     bench: String,
+    commit: String,
+    cores: usize,
     seed: u64,
     repeats: usize,
+    signature: SignatureLayer,
     service: Vec<ArrivalScenario>,
     pricing: Vec<PricingScenario>,
     /// Geometric mean of the per-size pricing speedups.
@@ -91,6 +115,53 @@ fn quantile_us(sorted: &[u64], q: f64) -> u64 {
     }
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Median of nanosecond samples, in µs to one decimal.
+fn p50_us(mut ns: Vec<u64>) -> f64 {
+    ns.sort_unstable();
+    (quantile_us(&ns, 0.50) as f64 / 100.0).round() / 10.0
+}
+
+/// Times key decoding, verification and signing one call at a time,
+/// checking every verdict.
+fn run_signature_layer(seed: u64) -> SignatureLayer {
+    let keys: Vec<SigningKey> = (0..SIGNATURE_KEYS).map(|w| key_for(w, seed)).collect();
+    let time = |samples: &mut Vec<u64>, t: Instant| samples.push(t.elapsed().as_nanos() as u64);
+    let (mut decompress, mut verify, mut sign) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..SIGNATURE_REPEATS {
+        for (w, key) in keys.iter().enumerate() {
+            let message = format!("round 1, worker {w}, bid {}", w % 25);
+            let t = Instant::now();
+            let signature = key.sign(message.as_bytes());
+            time(&mut sign, t);
+            let encoded = key.verifying_key().to_bytes();
+            let t = Instant::now();
+            let public = VerifyingKey::from_bytes(&encoded);
+            time(&mut decompress, t);
+            let public = public.expect("a generated public key decodes");
+            let t = Instant::now();
+            let verdict = public.verify(message.as_bytes(), &signature);
+            time(&mut verify, t);
+            assert_eq!(verdict, Ok(()), "worker {w}'s signature failed to verify");
+            let mut corrupted = signature.to_bytes();
+            corrupted[w % 64] ^= 1 << (w % 8);
+            assert!(
+                public
+                    .verify(message.as_bytes(), &Signature::from_bytes(&corrupted))
+                    .is_err(),
+                "worker {w}'s signature verified with bit {} flipped",
+                (w % 64) * 8 + w % 8
+            );
+        }
+    }
+    SignatureLayer {
+        keys: SIGNATURE_KEYS,
+        repeats: SIGNATURE_REPEATS,
+        decompress_p50_us: p50_us(decompress),
+        verify_p50_us: p50_us(verify),
+        sign_p50_us: p50_us(sign),
+    }
 }
 
 fn key_for(worker: u32, seed: u64) -> SigningKey {
@@ -286,6 +357,16 @@ fn main() {
     };
     let pricing_sizes: &[usize] = if quick { &[80] } else { &[80, 160, 320] };
 
+    let signature = run_signature_layer(seed);
+    println!(
+        "signature ({} keys × {}): decompress p50 {} µs, verify p50 {} µs, sign p50 {} µs",
+        signature.keys,
+        signature.repeats,
+        signature.decompress_p50_us,
+        signature.verify_p50_us,
+        signature.sign_p50_us
+    );
+
     let mut service = Vec::new();
     for &(roster, sample) in service_sizes {
         let name = format!("stream-{roster}");
@@ -319,8 +400,11 @@ fn main() {
 
     let output = BenchOutput {
         bench: "online_stream".to_string(),
+        commit: mcs_bench::commit(),
+        cores: mcs_bench::cores(),
         seed,
         repeats: REPEATS,
+        signature,
         service,
         pricing,
         incremental_speedup_geomean: geomean,

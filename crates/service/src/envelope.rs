@@ -219,9 +219,8 @@ impl BidEnvelope {
 pub fn decode_public_key(hex: &str) -> Result<VerifyingKey, EnvelopeError> {
     let bytes =
         hex_decode(hex).ok_or_else(|| EnvelopeError::BadKey("not valid hex".to_string()))?;
-    let bytes = <[u8; 32]>::try_from(bytes.as_slice()).map_err(|_| {
-        EnvelopeError::BadKey(format!("{} hex bytes, expected 32", bytes.len() / 2))
-    })?;
+    let bytes = <[u8; 32]>::try_from(bytes.as_slice())
+        .map_err(|_| EnvelopeError::BadKey(format!("{} hex bytes, expected 32", bytes.len())))?;
     VerifyingKey::from_bytes(&bytes).map_err(|e| EnvelopeError::BadKey(e.to_string()))
 }
 
@@ -328,6 +327,15 @@ mod tests {
             decode_public_key(&"ff".repeat(32)),
             Err(EnvelopeError::BadKey(_))
         ));
+        // A wrong-length key names its decoded byte count.
+        for len in [64, 16] {
+            assert_eq!(
+                decode_public_key(&"ab".repeat(len)).map(|key| key.to_bytes()),
+                Err(EnvelopeError::BadKey(format!(
+                    "{len} hex bytes, expected 32"
+                )))
+            );
+        }
     }
 
     #[test]
