@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::Neg;
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 use mcs_types::{Bundle, SkillMatrix, TaskId, WorkerId};
 
@@ -73,11 +73,11 @@ impl Neg for Label {
 // Hand-written serde: the vendored derive does not support enums, and the
 // signed-integer encoding (`1` / `-1`) matches the paper's ±1 label model.
 impl Serialize for Label {
-    fn to_value(&self) -> Value {
-        match self {
-            Label::Pos => 1i64.to_value(),
-            Label::Neg => (-1i64).to_value(),
-        }
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.i64(match self {
+            Label::Pos => 1,
+            Label::Neg => -1,
+        });
     }
 }
 

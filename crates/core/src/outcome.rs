@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 use mcs_types::{Price, TrueType, WorkerId};
 
@@ -92,11 +92,13 @@ impl AuctionOutcome {
 // funnels through `AuctionOutcome::new` and the sorted/deduplicated winner
 // invariant survives arbitrary wire input.
 impl Serialize for AuctionOutcome {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("price".to_string(), self.price.to_value()),
-            ("winners".to_string(), self.winners.to_value()),
-        ])
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        out.key("price");
+        self.price.serialize(out);
+        out.key("winners");
+        self.winners.serialize(out);
+        out.end_object();
     }
 }
 

@@ -72,13 +72,13 @@ pub use ledger::{
 pub use metrics::{MetricsRegistry, ENDPOINTS};
 pub use server::{Client, Service, ServiceConfig, BUSY_RETRY_HINT_MS};
 pub use stream::{StreamDecision, StreamReceipt, StreamSession, StreamSpec, StreamStatusView};
-pub use tcp::{RetryPolicy, TcpClient, TcpServer};
+pub use tcp::{RetryPolicy, TcpClient, TcpServer, MAX_LINE_BYTES};
 pub use wal::{
     crc32, encode_frame, read_snapshot, scan_bytes, write_snapshot, CrashPlan, Frame, TailDefect,
     WalError, WalOpenMode, WalScan, WalWriter, FRAME_HEADER_LEN, MAX_FRAME_LEN, SNAPSHOT_FILE,
     WAL_FILE, WAL_HEADER_LEN,
 };
 pub use wire::{
-    decode_request, decode_response, EndpointMetrics, HealthReport, LatencySummary, MetricsReport,
-    PmfSummary, Request, Response, WireError,
+    decode_request, decode_request_via_tree, decode_response, EndpointMetrics, HealthReport,
+    LatencySummary, MetricsReport, PmfSummary, Request, Response, WireError,
 };

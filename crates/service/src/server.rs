@@ -543,4 +543,57 @@ mod tests {
         assert_eq!(tags(&take_batch(&mut queue).unwrap()), [4]);
         assert_eq!(tags(&queue), [5, 7]);
     }
+
+    /// A burst of same-instance requests queued behind the single worker
+    /// is answered by one schedule build. The whole burst is queued in one
+    /// critical section, so the worker cannot pop any of it before the
+    /// rest is in.
+    #[test]
+    fn same_key_burst_coalesces_into_batches() {
+        // No cache, one worker: every batch is exactly one build, so the
+        // miss counter counts builds directly.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            queue_depth: 64,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
+        const BURST: usize = 6;
+        let instance = mcs_sim::Setting::one(80)
+            .scaled_down(8)
+            .generate(7)
+            .instance;
+        let replies: Vec<_> = {
+            let mut queue = service.shared.queue();
+            (0..BURST)
+                .map(|i| {
+                    let request = Request::RunAuction {
+                        instance: instance.clone(),
+                        epsilon: 0.1,
+                        seed: i as u64,
+                    };
+                    let (reply, reply_rx) = sync_channel(1);
+                    queue.jobs.push_back(Job {
+                        key: batch_key(&request),
+                        request,
+                        reply,
+                        enqueued_at: Instant::now(),
+                    });
+                    reply_rx
+                })
+                .collect()
+        };
+        service.shared.ready.notify_all();
+        for reply in replies {
+            assert!(matches!(reply.recv(), Ok(Response::Outcome(_))));
+        }
+
+        let Response::Metrics(metrics) = service.client().call(Request::Metrics) else {
+            panic!("metrics request failed");
+        };
+        assert_eq!(metrics.cache_misses, 1, "one build for the whole burst");
+        let batched: u64 = metrics.endpoints.iter().map(|e| e.batched).sum();
+        assert_eq!(batched, BURST as u64);
+        service.shutdown();
+    }
 }

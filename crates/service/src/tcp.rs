@@ -9,8 +9,11 @@
 //! produces a `busy` *line*, never a stalled or reset connection.
 //! Connection threads are scoped to the accept thread, so a closed
 //! connection's thread and stack are released when it ends, not at
-//! shutdown. The accept thread blocks in `accept`; shutdown wakes it by
-//! connecting to the listener itself.
+//! shutdown. A request line may hold at most [`MAX_LINE_BYTES`]; a longer
+//! one gets an `error` line and the connection is closed, so a peer that
+//! never sends a newline cannot grow a buffer without bound. The accept
+//! thread blocks in `accept`; shutdown wakes it by connecting to the
+//! listener itself.
 //!
 //! The client side honours that backpressure: [`TcpClient::call`]
 //! retries `busy` answers under a [`RetryPolicy`] — jittered exponential
@@ -18,12 +21,12 @@
 //! `retry_after_hint_ms`, with a bounded retry budget. Use
 //! [`TcpClient::call_once`] to see raw `busy` responses.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::Rng;
 
@@ -34,6 +37,15 @@ use crate::wire::{decode_request, decode_response, Request, Response};
 
 /// How often a connection's blocked read re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// The longest request line the server reads, newline excluded: 64 MiB.
+/// The largest Table I lines are ≈ 6 MB (Setting III, N = 1 400) and
+/// ≈ 10 MB (Setting IV, K = 500).
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// How long a connection refused for an over-long line keeps discarding
+/// what its peer still sends, at most.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// A TCP front-end serving a [`Client`]'s service on a local socket.
 pub struct TcpServer {
@@ -132,20 +144,33 @@ fn serve_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client hung up.
-            Ok(_) => {
+        match read_line_capped(&mut reader, &mut line) {
+            Ok(LineRead::Eof) => break, // The client hung up.
+            Ok(LineRead::TooLong) => {
+                let refusal = Response::Error {
+                    message: format!("malformed request: line longer than {MAX_LINE_BYTES} bytes"),
+                };
+                if write_line(&mut writer, &refusal).is_ok() {
+                    linger(&mut reader, writer.get_ref(), stop);
+                }
+                break;
+            }
+            Ok(LineRead::Line) => {
+                // Lines are UTF-8, as `read_line` required.
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break;
+                };
                 // The checked decode rejects non-finite numbers and
                 // duplicate keys before typed deserialization, and
                 // instances the builder would refuse after it, so no
                 // request built from an unsound document reaches the
                 // service (or its digest-keyed cache).
-                let response = match decode_request(line.trim()) {
+                let response = match decode_request(text.trim()) {
                     Ok(request) => client.call(request),
                     Err(err) => Response::Error {
                         message: format!("malformed request: {err}"),
@@ -165,6 +190,53 @@ fn serve_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) {
                 continue;
             }
             Err(_) => break,
+        }
+    }
+}
+
+/// What [`read_line_capped`] found.
+enum LineRead {
+    /// `line` holds a whole line: up to and including its newline, or up
+    /// to the end of the stream.
+    Line,
+    /// The stream ended before this call read anything.
+    Eof,
+    /// The line has grown past [`MAX_LINE_BYTES`] without ending.
+    TooLong,
+}
+
+/// `BufRead::read_line` with a length cap: appends to `line` until a
+/// newline, the end of the stream, or more than [`MAX_LINE_BYTES`] bytes
+/// before the newline. On an error (a read timeout included) the bytes
+/// read so far stay in `line`, and the next call continues the line.
+fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    // One byte past the cap: room for the newline of a line at the cap,
+    // or for the first byte over it.
+    let allowance = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+    let read = reader.by_ref().take(allowance).read_until(b'\n', line)?;
+    Ok(if read == 0 {
+        LineRead::Eof
+    } else if line.last() != Some(&b'\n') && line.len() > MAX_LINE_BYTES {
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    })
+}
+
+/// Closes the sending side, then discards input until the peer hangs up,
+/// goes quiet for a [`POLL`], or [`LINGER`] has passed. A socket closed
+/// with unread input is reset, and a peer still writing the rest of an
+/// over-long line would get that reset instead of the `error` line.
+fn linger<R: BufRead>(reader: &mut R, stream: &TcpStream, stop: &AtomicBool) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
+        match reader.fill_buf() {
+            Ok([]) | Err(_) => break,
+            Ok(bytes) => {
+                let n = bytes.len();
+                reader.consume(n);
+            }
         }
     }
 }

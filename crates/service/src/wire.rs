@@ -9,10 +9,15 @@
 //! only handles structs; the encoding is the conventional externally
 //! tagged object, e.g. `{"type": "run_auction", "instance": …,
 //! "epsilon": 0.1, "seed": 7}`.
+//!
+//! Both ends write a line straight into its `String`, building no value
+//! tree. [`decode_request`] reads a line in one pass straight into a
+//! [`Request`]; only a line that pass does not accept is parsed into a
+//! tree, which names the error.
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Number, Serialize, Value};
+use serde::{DeError, Deserialize, Offence, Reader, Serialize, Sink, Step, Value};
 
 use mcs_auction::AuctionOutcome;
 use mcs_sim::faults::FaultPlan;
@@ -417,54 +422,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// What [`first_offence`] found wrong with a parsed value tree.
-enum Offence<'v> {
-    NonFinite,
-    DuplicateKey(&'v str),
-}
-
-/// One step of a JSONPath: an array index or an object key.
-enum Step<'v> {
-    Index(usize),
-    Key(&'v str),
-}
-
-/// Finds the first non-finite number or repeated object key in a parsed
-/// value tree, in document order (an object's own keys before its
-/// values). Returns it with the steps from the root down to it, in
-/// reverse; the walk allocates only once it has found an offence.
-fn first_offence(v: &Value) -> Option<(Offence<'_>, Vec<Step<'_>>)> {
-    match v {
-        Value::Number(Number::Float(f)) if !f.is_finite() => Some((Offence::NonFinite, Vec::new())),
-        Value::Array(items) => items.iter().enumerate().find_map(|(i, item)| {
-            first_offence(item).map(|(offence, mut steps)| {
-                steps.push(Step::Index(i));
-                (offence, steps)
-            })
-        }),
-        Value::Object(fields) => {
-            let repeated = fields
-                .iter()
-                .enumerate()
-                .find(|(i, (key, _))| fields[..*i].iter().any(|(earlier, _)| earlier == key));
-            if let Some((_, (key, _))) = repeated {
-                return Some((Offence::DuplicateKey(key), Vec::new()));
-            }
-            fields.iter().find_map(|(key, value)| {
-                first_offence(value).map(|(offence, mut steps)| {
-                    steps.push(Step::Key(key));
-                    (offence, steps)
-                })
-            })
-        }
-        _ => None,
-    }
-}
-
 /// Rejects non-finite numbers and duplicate object keys anywhere in a
 /// parsed value tree, reporting the first offence with its JSONPath.
 fn validate_tree(v: &Value) -> Result<(), WireError> {
-    let Some((offence, steps)) = first_offence(v) else {
+    let Some((offence, steps)) = v.first_offence() else {
         return Ok(());
     };
     let mut path = String::from("$");
@@ -523,11 +484,34 @@ fn validate_instance(instance: &Instance) -> Result<(), WireError> {
 /// documents (non-finite numbers, duplicate keys, instances the builder
 /// would refuse) with typed errors.
 ///
+/// The line is read in one pass straight into a [`Request`]. That reader
+/// accepts a line only where the tree path ([`decode_request_via_tree`])
+/// would accept it with the same value, so the answer is the same either
+/// way; any other line goes down the tree path, which names the error.
+///
 /// # Errors
 ///
 /// Returns the [`WireError`] variant describing the first problem found.
 pub fn decode_request(text: &str) -> Result<Request, WireError> {
-    let request: Request = decode_checked(text)?;
+    match serde::read_document::<Request>(text) {
+        Some(request) => validate_request(request),
+        None => decode_request_via_tree(text),
+    }
+}
+
+/// [`decode_request`] on the tree path alone: the whole line is parsed
+/// into a value tree, checked for non-finite numbers and duplicate keys,
+/// then typed. It is the reference the one-pass reader is tested against.
+///
+/// # Errors
+///
+/// Returns the [`WireError`] variant describing the first problem found.
+pub fn decode_request_via_tree(text: &str) -> Result<Request, WireError> {
+    validate_request(decode_checked(text)?)
+}
+
+/// Holds an embedded instance to [`Instance::validate`].
+fn validate_request(request: Request) -> Result<Request, WireError> {
     match &request {
         Request::RunAuction { instance, .. }
         | Request::QueryPmf { instance, .. }
@@ -547,10 +531,10 @@ pub fn decode_response(text: &str) -> Result<Response, WireError> {
     decode_checked(text)
 }
 
-fn obj(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
-    let mut all = vec![("type".to_string(), Value::String(tag.to_string()))];
-    all.append(&mut fields);
-    Value::Object(all)
+/// Writes one `"key": value` member of an open object.
+fn member<S: Sink + ?Sized, T: Serialize + ?Sized>(out: &mut S, key: &str, value: &T) {
+    out.key(key);
+    value.serialize(out);
 }
 
 fn req_field<'v>(v: &'v Value, name: &'static str) -> Result<&'v Value, DeError> {
@@ -558,27 +542,24 @@ fn req_field<'v>(v: &'v Value, name: &'static str) -> Result<&'v Value, DeError>
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        // The tag is the endpoint name.
+        member(out, "type", self.endpoint());
         match self {
             Request::RunAuction {
                 instance,
                 epsilon,
                 seed,
-            } => obj(
-                "run_auction",
-                vec![
-                    ("instance".to_string(), instance.to_value()),
-                    ("epsilon".to_string(), epsilon.to_value()),
-                    ("seed".to_string(), seed.to_value()),
-                ],
-            ),
-            Request::QueryPmf { instance, epsilon } => obj(
-                "query_pmf",
-                vec![
-                    ("instance".to_string(), instance.to_value()),
-                    ("epsilon".to_string(), epsilon.to_value()),
-                ],
-            ),
+            } => {
+                member(out, "instance", instance);
+                member(out, "epsilon", epsilon);
+                member(out, "seed", seed);
+            }
+            Request::QueryPmf { instance, epsilon } => {
+                member(out, "instance", instance);
+                member(out, "epsilon", epsilon);
+            }
             Request::RunResilientRound {
                 instance,
                 types,
@@ -586,54 +567,46 @@ impl Serialize for Request {
                 plan,
                 config,
                 seed,
-            } => obj(
-                "run_resilient_round",
-                vec![
-                    ("instance".to_string(), instance.to_value()),
-                    ("types".to_string(), types.to_value()),
-                    ("epsilon".to_string(), epsilon.to_value()),
-                    ("plan".to_string(), plan.to_value()),
-                    ("config".to_string(), config.to_value()),
-                    ("seed".to_string(), seed.to_value()),
-                ],
-            ),
-            Request::Health => obj("health", Vec::new()),
-            Request::Metrics => obj("metrics", Vec::new()),
-            Request::OpenRound { spec } => {
-                obj("open_round", vec![("spec".to_string(), spec.to_value())])
+            } => {
+                member(out, "instance", instance);
+                member(out, "types", types);
+                member(out, "epsilon", epsilon);
+                member(out, "plan", plan);
+                member(out, "config", config);
+                member(out, "seed", seed);
             }
-            Request::SubmitBid { envelope } => obj(
-                "submit_bid",
-                vec![("envelope".to_string(), envelope.to_value())],
-            ),
-            Request::CommitRound { round_id, seed } => obj(
-                "commit_round",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("seed".to_string(), seed.to_value()),
-                ],
-            ),
-            Request::AbortRound { round_id } => obj(
-                "abort_round",
-                vec![("round_id".to_string(), round_id.to_value())],
-            ),
-            Request::RoundStatus { round_id } => obj(
-                "round_status",
-                vec![("round_id".to_string(), round_id.to_value())],
-            ),
-            Request::OpenStream { spec } => {
-                obj("open_stream", vec![("spec".to_string(), spec.to_value())])
+            Request::Health | Request::Metrics => {}
+            Request::OpenRound { spec } => member(out, "spec", spec),
+            Request::SubmitBid { envelope } | Request::Arrive { envelope } => {
+                member(out, "envelope", envelope);
             }
-            Request::Arrive { envelope } => obj(
-                "arrive",
-                vec![("envelope".to_string(), envelope.to_value())],
-            ),
-            Request::CloseStream { round_id } => obj(
-                "close_stream",
-                vec![("round_id".to_string(), round_id.to_value())],
-            ),
+            Request::CommitRound { round_id, seed } => {
+                member(out, "round_id", round_id);
+                member(out, "seed", seed);
+            }
+            Request::AbortRound { round_id }
+            | Request::RoundStatus { round_id }
+            | Request::CloseStream { round_id } => member(out, "round_id", round_id),
+            Request::OpenStream { spec } => member(out, "spec", spec),
         }
+        out.end_object();
     }
+}
+
+/// Reads the members left in an open object into a [`Request`] variant:
+/// each named field exactly once, in any order, and no other key; `None`
+/// otherwise.
+macro_rules! read_members {
+    ($r:ident, $variant:ident; $($field:ident: $ty:ty),*) => {{
+        $(let mut $field: Option<$ty> = None;)*
+        while let Some(key) = $r.next_key()? {
+            match key {
+                $(stringify!($field) if $field.is_none() => $field = Some(<$ty>::read($r)?),)*
+                _ => return None,
+            }
+        }
+        Some(Request::$variant { $($field: $field?),* })
+    }};
 }
 
 impl Deserialize for Request {
@@ -687,77 +660,88 @@ impl Deserialize for Request {
             other => Err(DeError::custom(format!("unknown request type `{other}`"))),
         }
     }
+
+    /// The one-pass reader, for `run_auction` and `query_pmf` only: the
+    /// long lines of the auction path. It takes the tag only as the first
+    /// key, which is where the writer puts it, and leaves any other order,
+    /// and every other request, to the tree path.
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.begin_object()?;
+        if r.next_key()? != Some("type") {
+            return None;
+        }
+        match r.str()? {
+            "run_auction" => {
+                read_members!(r, RunAuction; instance: Instance, epsilon: f64, seed: u64)
+            }
+            "query_pmf" => read_members!(r, QueryPmf; instance: Instance, epsilon: f64),
+            _ => None,
+        }
+    }
+}
+
+impl Response {
+    /// The `"type"` tag of the response's encoding.
+    fn tag(&self) -> &'static str {
+        match self {
+            Response::Outcome(_) => "outcome",
+            Response::Pmf(_) => "pmf",
+            Response::Round(_) => "round",
+            Response::Health(_) => "health",
+            Response::Metrics(_) => "metrics",
+            Response::Busy { .. } => "busy",
+            Response::ShuttingDown => "shutting_down",
+            Response::Error { .. } => "error",
+            Response::Opened { .. } => "opened",
+            Response::BidAccepted { .. } => "bid_accepted",
+            Response::Committed(_) => "committed",
+            Response::Aborted { .. } => "aborted",
+            Response::RoundStatus(_) => "round_status",
+            Response::Rejected { .. } => "rejected",
+            Response::StreamOpened { .. } => "stream_opened",
+            Response::ArrivalDecided { .. } => "arrival_decided",
+            Response::StreamClosed(_) => "stream_closed",
+            Response::StreamStatus(_) => "stream_status",
+        }
+    }
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        member(out, "type", self.tag());
         match self {
-            Response::Outcome(o) => obj("outcome", vec![("outcome".to_string(), o.to_value())]),
-            Response::Pmf(p) => obj("pmf", vec![("pmf".to_string(), p.to_value())]),
-            Response::Round(r) => obj("round", vec![("round".to_string(), r.to_value())]),
-            Response::Health(h) => obj("health", vec![("health".to_string(), h.to_value())]),
-            Response::Metrics(m) => obj("metrics", vec![("metrics".to_string(), m.to_value())]),
+            Response::Outcome(o) => member(out, "outcome", o),
+            Response::Pmf(p) => member(out, "pmf", p),
+            Response::Round(r) => member(out, "round", r.as_ref()),
+            Response::Health(h) => member(out, "health", h),
+            Response::Metrics(m) => member(out, "metrics", m),
             Response::Busy {
                 retry_after_hint_ms,
-            } => obj(
-                "busy",
-                vec![(
-                    "retry_after_hint_ms".to_string(),
-                    retry_after_hint_ms.to_value(),
-                )],
-            ),
-            Response::ShuttingDown => obj("shutting_down", Vec::new()),
-            Response::Error { message } => {
-                obj("error", vec![("message".to_string(), message.to_value())])
+            } => member(out, "retry_after_hint_ms", retry_after_hint_ms),
+            Response::ShuttingDown => {}
+            Response::Error { message } => member(out, "message", message),
+            Response::Opened { round_id, lsn }
+            | Response::BidAccepted { round_id, lsn }
+            | Response::Aborted { round_id, lsn } => {
+                member(out, "round_id", round_id);
+                member(out, "lsn", lsn);
             }
-            Response::Opened { round_id, lsn } => obj(
-                "opened",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("lsn".to_string(), lsn.to_value()),
-                ],
-            ),
-            Response::BidAccepted { round_id, lsn } => obj(
-                "bid_accepted",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("lsn".to_string(), lsn.to_value()),
-                ],
-            ),
-            Response::Committed(receipt) => obj(
-                "committed",
-                vec![("receipt".to_string(), receipt.to_value())],
-            ),
-            Response::Aborted { round_id, lsn } => obj(
-                "aborted",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("lsn".to_string(), lsn.to_value()),
-                ],
-            ),
-            Response::RoundStatus(view) => obj(
-                "round_status",
-                vec![("status".to_string(), view.to_value())],
-            ),
-            Response::Rejected { code, detail } => obj(
-                "rejected",
-                vec![
-                    ("code".to_string(), code.to_value()),
-                    ("detail".to_string(), detail.to_value()),
-                ],
-            ),
+            Response::Committed(receipt) => member(out, "receipt", receipt.as_ref()),
+            Response::RoundStatus(view) => member(out, "status", view),
+            Response::Rejected { code, detail } => {
+                member(out, "code", code);
+                member(out, "detail", detail);
+            }
             Response::StreamOpened {
                 round_id,
                 lsn,
                 sample_target,
-            } => obj(
-                "stream_opened",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("lsn".to_string(), lsn.to_value()),
-                    ("sample_target".to_string(), sample_target.to_value()),
-                ],
-            ),
+            } => {
+                member(out, "round_id", round_id);
+                member(out, "lsn", lsn);
+                member(out, "sample_target", sample_target);
+            }
             Response::ArrivalDecided {
                 round_id,
                 worker,
@@ -766,27 +750,19 @@ impl Serialize for Response {
                 reason,
                 posted_price,
                 lsn,
-            } => obj(
-                "arrival_decided",
-                vec![
-                    ("round_id".to_string(), round_id.to_value()),
-                    ("worker".to_string(), worker.to_value()),
-                    ("accepted".to_string(), accepted.to_value()),
-                    ("payment".to_string(), payment.to_value()),
-                    ("reason".to_string(), reason.to_value()),
-                    ("posted_price".to_string(), posted_price.to_value()),
-                    ("lsn".to_string(), lsn.to_value()),
-                ],
-            ),
-            Response::StreamClosed(receipt) => obj(
-                "stream_closed",
-                vec![("receipt".to_string(), receipt.to_value())],
-            ),
-            Response::StreamStatus(view) => obj(
-                "stream_status",
-                vec![("status".to_string(), view.to_value())],
-            ),
+            } => {
+                member(out, "round_id", round_id);
+                member(out, "worker", worker);
+                member(out, "accepted", accepted);
+                member(out, "payment", payment);
+                member(out, "reason", reason);
+                member(out, "posted_price", posted_price);
+                member(out, "lsn", lsn);
+            }
+            Response::StreamClosed(receipt) => member(out, "receipt", receipt.as_ref()),
+            Response::StreamStatus(view) => member(out, "status", view),
         }
+        out.end_object();
     }
 }
 
@@ -866,7 +842,7 @@ mod tests {
     use super::*;
     use crate::ledger::{PaymentRecord, RosterEntry};
     use mcs_sim::Setting;
-    use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
+    use mcs_types::{Bid, Bundle, Price, SkillMatrix, TaskId, WorkerId};
 
     fn instance() -> Instance {
         Setting::one(80).scaled_down(4).generate(3).instance
@@ -902,11 +878,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_variants_round_trip() {
+    /// One request of every variant.
+    fn requests() -> Vec<Request> {
         let inst = instance();
         let g = Setting::one(80).scaled_down(4).generate(3);
-        let requests = vec![
+        vec![
             Request::RunAuction {
                 instance: inst.clone(),
                 epsilon: 0.1,
@@ -947,8 +923,12 @@ mod tests {
                 envelope: bid_envelope(),
             },
             Request::CloseStream { round_id: 17 },
-        ];
-        for req in requests {
+        ]
+    }
+
+    #[test]
+    fn request_variants_round_trip() {
+        for req in requests() {
             let json = serde_json::to_string(&req).expect("serialize");
             let back: Request = serde_json::from_str(&json).expect("deserialize");
             assert_eq!(back, req);
@@ -1023,9 +1003,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn response_variants_round_trip() {
-        let responses = vec![
+    /// One response of every variant.
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Outcome(AuctionOutcome::new(
                 Price::from_f64(40.0),
                 vec![WorkerId(2), WorkerId(0)],
@@ -1155,8 +1135,12 @@ mod tests {
                 total_paid: Price::from_f64(6.0),
                 covered: false,
             }),
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn response_variants_round_trip() {
+        for resp in responses() {
             let json = serde_json::to_string(&resp).expect("serialize");
             let back: Response = serde_json::from_str(&json).expect("deserialize");
             assert_eq!(back, resp);
@@ -1239,6 +1223,174 @@ mod tests {
             decode_response(r#"{"type": "busy"}"#),
             Err(WireError::Shape(_))
         ));
+    }
+
+    /// The instance of [`instance`] with a CSR θ: each worker informative
+    /// on the tasks of its bundle only.
+    fn csr_instance() -> Instance {
+        let inst = instance();
+        let entries = inst.bids().iter().flat_map(|(worker, bid)| {
+            let bundle: Vec<TaskId> = bid.bundle().iter().collect();
+            bundle.into_iter().map(move |task| (worker, task, 0.85))
+        });
+        let skills = SkillMatrix::from_sparse(inst.num_workers(), inst.num_tasks(), entries)
+            .expect("in-range sparse skills");
+        Instance::builder(inst.num_tasks())
+            .bid_profile(inst.bids().clone())
+            .skills(skills)
+            .error_bounds(inst.deltas().to_vec())
+            .price_grid(inst.price_grid().clone())
+            .cost_range(inst.cmin(), inst.cmax())
+            .build()
+            .expect("valid CSR instance")
+    }
+
+    /// Every request variant, plus auctions over Table I Settings I–IV
+    /// (III and IV scaled down), a CSR θ and an uncertain instance.
+    fn requests_with_every_instance_shape() -> Vec<Request> {
+        let mut all = requests();
+        let shapes = [
+            Setting::one(140).generate(1).instance,
+            Setting::two(50).generate(2).instance,
+            Setting::three(800).scaled_down(4).generate(3).instance,
+            Setting::four(200).scaled_down(4).generate(4).instance,
+            csr_instance(),
+            uncertain_instance(),
+        ];
+        for instance in shapes {
+            all.push(Request::QueryPmf {
+                instance: instance.clone(),
+                epsilon: 0.3,
+            });
+            all.push(Request::RunAuction {
+                instance,
+                epsilon: 0.1,
+                seed: 5,
+            });
+        }
+        all
+    }
+
+    /// The direct writer and the tree (`to_value`, then print) agree byte
+    /// for byte, and pretty printing still prints the tree of the compact
+    /// line.
+    fn assert_writers_agree<T: Serialize + std::fmt::Debug>(value: &T) {
+        let direct = serde_json::to_string(value).expect("serialize");
+        let tree = value.to_value();
+        assert_eq!(
+            serde_json::to_string(&tree).expect("serialize tree"),
+            direct,
+            "{value:?}"
+        );
+        let parsed: Value = serde_json::from_str(&direct).expect("parse");
+        assert_eq!(tree, parsed);
+        assert_eq!(
+            serde_json::to_string_pretty(value).expect("pretty"),
+            serde_json::to_string_pretty(&parsed).expect("pretty tree")
+        );
+    }
+
+    #[test]
+    fn direct_and_tree_writers_give_the_same_bytes() {
+        for req in requests_with_every_instance_shape() {
+            assert_writers_agree(&req);
+        }
+        for resp in responses() {
+            assert_writers_agree(&resp);
+        }
+    }
+
+    #[test]
+    fn the_one_pass_reader_takes_every_written_auction_request() {
+        for req in requests_with_every_instance_shape() {
+            let line = serde_json::to_string(&req).expect("serialize");
+            let auction = matches!(req, Request::RunAuction { .. } | Request::QueryPmf { .. });
+            assert_eq!(
+                serde::read_document::<Request>(&line).as_ref(),
+                auction.then_some(&req),
+                "{}",
+                req.endpoint()
+            );
+            assert_eq!(decode_request(&line), Ok(req));
+        }
+    }
+
+    #[test]
+    fn lines_the_one_pass_reader_leaves_decode_as_on_the_tree_path() {
+        let line = serde_json::to_string(&requests()[0]).expect("serialize");
+        let variants = [
+            // The tag after the other members.
+            line.replacen(r#""type":"run_auction","#, "", 1).replacen(
+                r#","seed":7}"#,
+                r#","seed":7,"type":"run_auction"}"#,
+                1,
+            ),
+            // An unknown member, which the tree path ignores.
+            line.replacen(r#""seed":7"#, r#""seed":7,"note":[1,{"a":null}]"#, 1),
+            // An escaped key and an escaped tag.
+            line.replacen(r#""epsilon""#, r#""eps\u0069lon""#, 1),
+            line.replacen(r#""run_auction""#, r#""run\u005fauction""#, 1),
+            // The completion model left out: it defaults to deterministic.
+            line.replacen(r#","completion":{"model":"deterministic"}"#, "", 1),
+            // A whole number where a float belongs, and `-0`.
+            line.replacen(r#""epsilon":0.1"#, r#""epsilon":1"#, 1),
+            line.replacen(r#""seed":7"#, r#""seed":-0"#, 1),
+            // Errors: a repeated member, a bad escape, a non-finite number.
+            line.replacen(r#""seed":7"#, r#""seed":7,"seed":8"#, 1),
+            line.replacen(r#""epsilon""#, r#""eps\u+069lon""#, 1),
+            line.replacen(r#""epsilon":0.1"#, r#""epsilon":1e999"#, 1),
+        ];
+        for variant in &variants {
+            assert_ne!(variant, &line);
+            assert_eq!(
+                decode_request(variant),
+                decode_request_via_tree(variant),
+                "{variant}"
+            );
+        }
+        assert!(decode_request(&variants[0]).is_ok());
+        assert!(decode_request(&variants[1]).is_ok());
+        assert!(decode_request(&variants[2]).is_ok());
+        assert!(matches!(
+            decode_request(&variants[7]),
+            Err(WireError::DuplicateKey { .. })
+        ));
+    }
+
+    /// `{"type":"health", "k0":0, …}` with `keys` extra members, plus
+    /// `tail` before the closing brace.
+    fn health_with_keys(keys: usize, tail: &str) -> String {
+        let mut line = String::from(r#"{"type":"health""#);
+        for i in 0..keys {
+            line.push_str(&format!(r#","k{i}":0"#));
+        }
+        line.push_str(tail);
+        line.push('}');
+        line
+    }
+
+    #[test]
+    fn the_duplicate_key_check_is_not_quadratic() {
+        // 40 000 distinct keys: ≈ 0.5 MB, the size of a Setting I auction
+        // line. Comparing each key with every earlier one takes over 2 s
+        // on this line in a release build (≈ 10 s in the dev profile).
+        let line = health_with_keys(40_000, "");
+        let started = std::time::Instant::now();
+        assert_eq!(decode_request(&line), Ok(Request::Health));
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        // A repeat placed last is still the one reported.
+        let line = format!(
+            r#"{{"type":"health","extra":{}}}"#,
+            health_with_keys(40_000, r#","k17":1"#)
+        );
+        assert_eq!(
+            decode_request(&line),
+            Err(WireError::DuplicateKey {
+                path: "$.extra".to_string(),
+                key: "k17".to_string(),
+            })
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end service tests: mixed loopback traffic, backpressure,
-//! drain-on-shutdown, cache identity, and batching.
+//! drain-on-shutdown, cache identity, and the TCP transport's limits.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,7 +7,8 @@ use std::thread;
 use std::time::Duration;
 
 use mcs_service::{
-    Request, Response, Service, ServiceConfig, TcpClient, TcpServer, BUSY_RETRY_HINT_MS,
+    decode_response, Request, Response, Service, ServiceConfig, TcpClient, TcpServer,
+    BUSY_RETRY_HINT_MS, MAX_LINE_BYTES,
 };
 use mcs_sim::faults::FaultPlan;
 use mcs_sim::platform::ResilienceConfig;
@@ -272,78 +273,6 @@ fn cached_responses_are_byte_identical_to_cold() {
     cached.shutdown();
 }
 
-/// Concurrent same-instance requests coalesce into one schedule build.
-#[test]
-fn same_key_burst_coalesces_into_batches() {
-    // No cache, one worker: every *batch* is exactly one build, so the
-    // miss counter counts builds directly.
-    let service = Service::start(ServiceConfig {
-        workers: 1,
-        queue_depth: 64,
-        cache_capacity: 0,
-        ..ServiceConfig::default()
-    });
-    let client = service.client();
-
-    // Occupy the single worker so the burst piles up behind it.
-    let blocker = {
-        let client = client.clone();
-        thread::spawn(move || {
-            let (instance, types) = small(999);
-            client.call(Request::RunResilientRound {
-                instance,
-                types,
-                epsilon: 0.1,
-                plan: FaultPlan::no_show(0.3, 1),
-                config: ResilienceConfig::default(),
-                seed: 1,
-            })
-        })
-    };
-    thread::sleep(Duration::from_millis(10));
-
-    const BURST: usize = 6;
-    let (instance, _) = small(7);
-    let handles: Vec<_> = (0..BURST)
-        .map(|i| {
-            let client = client.clone();
-            let instance = instance.clone();
-            thread::spawn(move || {
-                client.call(Request::RunAuction {
-                    instance,
-                    epsilon: 0.1,
-                    seed: i as u64,
-                })
-            })
-        })
-        .collect();
-    for h in handles {
-        assert!(matches!(
-            h.join().expect("burst caller panicked"),
-            Response::Outcome(_)
-        ));
-    }
-    assert!(matches!(
-        blocker.join().expect("blocker panicked"),
-        Response::Round(_)
-    ));
-
-    let Response::Metrics(metrics) = client.call(Request::Metrics) else {
-        panic!("metrics request failed");
-    };
-    // Without coalescing (and with the cache off) the burst alone would
-    // cost BURST builds; batching must have merged most of them.
-    assert!(
-        metrics.cache_misses <= 1 + (BURST as u64) / 2,
-        "builds: {} for {} same-key requests",
-        metrics.cache_misses,
-        BURST
-    );
-    let batched: u64 = metrics.endpoints.iter().map(|e| e.batched).sum();
-    assert!(batched >= 2, "batched: {batched}");
-    service.shutdown();
-}
-
 /// Malformed TCP lines get an `error` line back; the connection stays up.
 #[test]
 fn malformed_tcp_line_answers_error_and_keeps_connection() {
@@ -370,6 +299,72 @@ fn malformed_tcp_line_answers_error_and_keeps_connection() {
     let response: Response = serde_json::from_str(line.trim()).expect("parse health line");
     assert!(matches!(response, Response::Health(_)));
 
+    tcp.shutdown();
+    service.shutdown();
+}
+
+/// The `error` line the server answers a line longer than the cap with.
+fn is_the_cap_refusal(response: &Response) -> bool {
+    matches!(response, Response::Error { message } if message.contains(&MAX_LINE_BYTES.to_string()))
+}
+
+/// A line longer than the cap gets an `error` line naming the cap, and
+/// its connection is closed; the server goes on answering others.
+#[test]
+fn an_over_long_line_is_refused_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    use mcs_service::BidEnvelope;
+    use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
+
+    let service = Service::start(ServiceConfig::default());
+    let tcp = TcpServer::bind(service.client(), "127.0.0.1:0").expect("bind loopback");
+    let stream = std::net::TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+
+    // MAX_LINE_BYTES + 1 bytes and no newline.
+    let chunk = vec![b' '; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() {
+        writer.write_all(&chunk).expect("write");
+    }
+    writer
+        .write_all(&chunk[..MAX_LINE_BYTES % chunk.len() + 1])
+        .expect("write the byte past the cap");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error line");
+    let response = decode_response(line.trim());
+    assert!(
+        response.as_ref().is_ok_and(is_the_cap_refusal),
+        "{response:?}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("read to the end"), 0);
+
+    // A client that writes its whole line, well past the cap and past
+    // what the socket buffers hold, before it reads still gets the
+    // `error` line, and then the closed connection.
+    let envelope = BidEnvelope {
+        round_id: 1,
+        worker: WorkerId(0),
+        bid: Bid::new(Bundle::new(vec![TaskId(0)]), Price::from_f64(1.0)),
+        nonce: 0,
+        expires_at_ms: 0,
+        signature: "0".repeat(MAX_LINE_BYTES + (16 << 20)),
+    };
+    let mut conn = TcpClient::connect(tcp.local_addr()).expect("connect");
+    let response = conn.call_once(&Request::SubmitBid { envelope });
+    assert!(
+        response.as_ref().is_ok_and(is_the_cap_refusal),
+        "{response:?}"
+    );
+    assert!(conn.call_once(&Request::Health).is_err());
+
+    let mut conn = TcpClient::connect(tcp.local_addr()).expect("connect again");
+    assert!(matches!(
+        conn.call(&Request::Health),
+        Ok(Response::Health(_))
+    ));
     tcp.shutdown();
     service.shutdown();
 }

@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// Where a round is in its lifecycle (batch and streaming rounds share
 /// one namespace; a given round only ever walks one of the two columns).
@@ -113,8 +113,8 @@ impl fmt::Display for RoundPhase {
 }
 
 impl Serialize for RoundPhase {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_string())
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.str(self.name());
     }
 }
 

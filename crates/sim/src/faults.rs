@@ -20,7 +20,7 @@
 //! leaves the main RNG stream byte-for-byte identical to a fault-free run.
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 use mcs_agg::{LabelSet, Observation};
 use mcs_num::rng;
@@ -176,34 +176,33 @@ pub enum WorkerFate {
 // Hand-written serde (the vendored derive does not support enums):
 // externally tagged as `{"fate": "...", ...payload}`.
 impl Serialize for WorkerFate {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![(
-            "fate".to_string(),
-            Value::String(
-                match self {
-                    WorkerFate::Delivered => "delivered",
-                    WorkerFate::NoShow => "no_show",
-                    WorkerFate::ShowedButFailed => "showed_but_failed",
-                    WorkerFate::Partial { .. } => "partial",
-                    WorkerFate::Straggler { .. } => "straggler",
-                    WorkerFate::Corrupted { .. } => "corrupted",
-                }
-                .to_string(),
-            ),
-        )];
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        out.key("fate");
+        out.str(match self {
+            WorkerFate::Delivered => "delivered",
+            WorkerFate::NoShow => "no_show",
+            WorkerFate::ShowedButFailed => "showed_but_failed",
+            WorkerFate::Partial { .. } => "partial",
+            WorkerFate::Straggler { .. } => "straggler",
+            WorkerFate::Corrupted { .. } => "corrupted",
+        });
         match self {
             WorkerFate::Partial { dropped } => {
-                fields.push(("dropped".to_string(), dropped.to_value()));
+                out.key("dropped");
+                dropped.serialize(out);
             }
             WorkerFate::Straggler { delay } => {
-                fields.push(("delay".to_string(), delay.to_value()));
+                out.key("delay");
+                delay.serialize(out);
             }
             WorkerFate::Corrupted { flipped } => {
-                fields.push(("flipped".to_string(), flipped.to_value()));
+                out.key("flipped");
+                flipped.serialize(out);
             }
             WorkerFate::Delivered | WorkerFate::NoShow | WorkerFate::ShowedButFailed => {}
         }
-        Value::Object(fields)
+        out.end_object();
     }
 }
 

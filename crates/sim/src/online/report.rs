@@ -2,7 +2,7 @@
 
 use mcs_auction::ReplayStats;
 use mcs_types::{Price, WorkerId};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// Which machinery priced the running hindsight benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,14 +64,11 @@ impl Decision {
 // Hand-written serde (the vendored derive does not support enums).
 
 impl Serialize for PricingPath {
-    fn to_value(&self) -> Value {
-        Value::String(
-            match self {
-                PricingPath::Incremental => "incremental",
-                PricingPath::FromScratch => "from_scratch",
-            }
-            .to_string(),
-        )
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.str(match self {
+            PricingPath::Incremental => "incremental",
+            PricingPath::FromScratch => "from_scratch",
+        });
     }
 }
 
@@ -99,8 +96,8 @@ impl RejectReason {
 }
 
 impl Serialize for RejectReason {
-    fn to_value(&self) -> Value {
-        Value::String(self.tag().to_string())
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.str(self.tag());
     }
 }
 
@@ -119,23 +116,22 @@ impl Deserialize for RejectReason {
 }
 
 impl Serialize for Decision {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        out.key("decision");
         match self {
-            Decision::Accepted { payment } => Value::Object(vec![
-                (
-                    "decision".to_string(),
-                    Value::String("accepted".to_string()),
-                ),
-                ("payment".to_string(), payment.to_value()),
-            ]),
-            Decision::Rejected(reason) => Value::Object(vec![
-                (
-                    "decision".to_string(),
-                    Value::String("rejected".to_string()),
-                ),
-                ("reason".to_string(), reason.to_value()),
-            ]),
+            Decision::Accepted { payment } => {
+                out.str("accepted");
+                out.key("payment");
+                payment.serialize(out);
+            }
+            Decision::Rejected(reason) => {
+                out.str("rejected");
+                out.key("reason");
+                reason.serialize(out);
+            }
         }
+        out.end_object();
     }
 }
 

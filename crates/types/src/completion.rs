@@ -54,7 +54,7 @@
 //! schedules, payments, and digests — to `Deterministic`; the
 //! `mcs-verify` degenerate suite asserts this across every engine.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 use crate::{McsError, TaskId, WorkerId};
 
@@ -326,18 +326,20 @@ impl BernoulliCompletion {
 }
 
 impl Serialize for CompletionModel {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        out.key("model");
         match self {
-            CompletionModel::Deterministic => Value::Object(vec![(
-                "model".to_string(),
-                Value::String("deterministic".to_string()),
-            )]),
-            CompletionModel::Bernoulli(b) => Value::Object(vec![
-                ("model".to_string(), Value::String("bernoulli".to_string())),
-                ("rows".to_string(), b.rows.to_value()),
-                ("gammas".to_string(), b.gammas.to_value()),
-            ]),
+            CompletionModel::Deterministic => out.str("deterministic"),
+            CompletionModel::Bernoulli(b) => {
+                out.str("bernoulli");
+                out.key("rows");
+                b.rows.serialize(out);
+                out.key("gammas");
+                b.gammas.serialize(out);
+            }
         }
+        out.end_object();
     }
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
 
 use crate::McsError;
 
@@ -350,21 +350,32 @@ impl PriceGrid {
     }
 }
 
+/// The wire fields of a [`PriceGrid`], before [`PriceGrid::new`]'s rules.
+#[derive(Deserialize)]
+struct GridFields {
+    min: Price,
+    max: Price,
+    step: Price,
+}
+
+impl GridFields {
+    fn grid(self) -> Result<PriceGrid, McsError> {
+        PriceGrid::new(self.min, self.max, self.step)
+    }
+}
+
 impl Deserialize for PriceGrid {
     /// Reads the derived `{min, max, step}` shape and holds it to
     /// [`PriceGrid::new`]'s rules, so that a decoded grid never has a zero
     /// step to divide by.
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        if !matches!(v, Value::Object(_)) {
-            return Err(DeError::expected("object", v));
-        }
-        let field = |name: &'static str| {
-            v.get(name)
-                .ok_or_else(|| DeError::missing_field(name))
-                .and_then(Price::from_value)
-        };
-        PriceGrid::new(field("min")?, field("max")?, field("step")?)
+        GridFields::from_value(v)?
+            .grid()
             .map_err(|e| DeError::custom(e.to_string()))
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        GridFields::read(r)?.grid().ok()
     }
 }
 

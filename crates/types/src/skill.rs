@@ -1,6 +1,6 @@
 //! Worker skill matrices and derived coverage weights.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Sink, Value};
 
 use crate::{McsError, TaskId, WorkerId};
 
@@ -389,51 +389,24 @@ impl PartialEq for SkillMatrix {
     }
 }
 
-impl Serialize for SkillMatrix {
-    /// The dense representation keeps the wire shape every pre-CSR encoder
-    /// produced (`{num_workers, num_tasks, theta}`); CSR adds an `offsets`
-    /// field, which is also how the decoder tells the two forms apart.
-    fn to_value(&self) -> Value {
-        match &self.repr {
-            Repr::Dense { theta } => Value::Object(vec![
-                ("num_workers".to_string(), self.num_workers.to_value()),
-                ("num_tasks".to_string(), self.num_tasks.to_value()),
-                ("theta".to_string(), theta.to_value()),
-            ]),
-            Repr::Csr {
-                offsets,
-                tasks,
-                theta,
-            } => Value::Object(vec![
-                ("num_workers".to_string(), self.num_workers.to_value()),
-                ("num_tasks".to_string(), self.num_tasks.to_value()),
-                ("offsets".to_string(), offsets.to_value()),
-                ("tasks".to_string(), tasks.to_value()),
-                ("theta".to_string(), theta.to_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for SkillMatrix {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if !matches!(v, Value::Object(_)) {
-            return Err(DeError::expected("object", v));
-        }
-        let field = |name: &'static str| v.get(name).ok_or_else(|| DeError::missing_field(name));
-        let num_workers = usize::from_value(field("num_workers")?)?;
-        let num_tasks = usize::from_value(field("num_tasks")?)?;
-        let theta = Vec::<f64>::from_value(field("theta")?)?;
-        if v.get("offsets").is_none() {
+impl SkillMatrix {
+    /// Builds a matrix from its decoded wire fields: dense when `csr` is
+    /// `None`, else CSR from its `(offsets, tasks)`. Both decoders come
+    /// through here, so each rule has one implementation.
+    fn from_wire(
+        num_workers: usize,
+        num_tasks: usize,
+        theta: Vec<f64>,
+        csr: Option<(Vec<usize>, Vec<u32>)>,
+    ) -> Result<Self, DeError> {
+        let Some((offsets, tasks)) = csr else {
             // Dense form: held to the constructor's rules, so that every
             // later lookup stays inside the `N·K` values.
             return SkillMatrix::from_flat(num_workers, num_tasks, theta)
                 .map_err(|e| DeError::custom(e.to_string()));
-        }
+        };
         // CSR form: new on the wire, so it can afford to be strict — a
         // malformed CSR would silently mis-shape every later lookup.
-        let offsets = Vec::<usize>::from_value(field("offsets")?)?;
-        let tasks = Vec::<u32>::from_value(field("tasks")?)?;
         if offsets.len().checked_sub(1) != Some(num_workers)
             || offsets.first() != Some(&0)
             || offsets.last() != Some(&tasks.len())
@@ -478,6 +451,81 @@ impl Deserialize for SkillMatrix {
                 theta: c_theta,
             },
         })
+    }
+}
+
+impl Serialize for SkillMatrix {
+    /// The dense representation keeps the wire shape every pre-CSR encoder
+    /// produced (`{num_workers, num_tasks, theta}`); CSR adds an `offsets`
+    /// field, which is also how the decoder tells the two forms apart.
+    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.begin_object();
+        out.key("num_workers");
+        self.num_workers.serialize(out);
+        out.key("num_tasks");
+        self.num_tasks.serialize(out);
+        match &self.repr {
+            Repr::Dense { theta } => {
+                out.key("theta");
+                theta.serialize(out);
+            }
+            Repr::Csr {
+                offsets,
+                tasks,
+                theta,
+            } => {
+                out.key("offsets");
+                offsets.serialize(out);
+                out.key("tasks");
+                tasks.serialize(out);
+                out.key("theta");
+                theta.serialize(out);
+            }
+        }
+        out.end_object();
+    }
+}
+
+impl Deserialize for SkillMatrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(DeError::expected("object", v));
+        }
+        let field = |name: &'static str| v.get(name).ok_or_else(|| DeError::missing_field(name));
+        let num_workers = usize::from_value(field("num_workers")?)?;
+        let num_tasks = usize::from_value(field("num_tasks")?)?;
+        let theta = Vec::<f64>::from_value(field("theta")?)?;
+        let csr = match v.get("offsets") {
+            None => None,
+            Some(offsets) => Some((
+                Vec::<usize>::from_value(offsets)?,
+                Vec::<u32>::from_value(field("tasks")?)?,
+            )),
+        };
+        SkillMatrix::from_wire(num_workers, num_tasks, theta, csr)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let (mut num_workers, mut num_tasks, mut theta) = (None, None, None);
+        let (mut offsets, mut tasks) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match key {
+                "num_workers" if num_workers.is_none() => num_workers = Some(usize::read(r)?),
+                "num_tasks" if num_tasks.is_none() => num_tasks = Some(usize::read(r)?),
+                "theta" if theta.is_none() => theta = Some(Vec::<f64>::read(r)?),
+                "offsets" if offsets.is_none() => offsets = Some(Vec::<usize>::read(r)?),
+                "tasks" if tasks.is_none() => tasks = Some(Vec::<u32>::read(r)?),
+                _ => return None,
+            }
+        }
+        let csr = match (offsets, tasks) {
+            (None, None) => None,
+            (Some(offsets), Some(tasks)) => Some((offsets, tasks)),
+            // The tree path ignores `tasks` without `offsets`; it decides.
+            _ => return None,
+        };
+        SkillMatrix::from_wire(num_workers?, num_tasks?, theta?, csr).ok()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Byte-level fuzzing of the service wire decoder and the WAL reader.
 //!
 //! The TCP transport hands every received line to
-//! [`mcs_service::decode_request`] — a recursive-descent JSON parse, a
+//! [`mcs_service::decode_request`] — a one-pass typed read, or, for a
+//! line that read does not accept, a recursive-descent JSON parse, a
 //! soundness walk (finiteness, duplicate keys), and typed
 //! deserialization. [`run_fuzz`] drives that path with a seed corpus
 //! plus random byte mutations and asserts two properties:
@@ -15,6 +16,14 @@
 //! 2. **Round-trip stability** — any line the decoder *accepts* must
 //!    re-encode and decode to the identical encoding:
 //!    `encode(decode(x))` is a fixed point of `encode ∘ decode`.
+//! 3. **One codec, two paths** — [`mcs_service::decode_request`] reads a
+//!    line in one pass and falls back to a value tree only for lines it
+//!    does not accept; on every input it must answer exactly what the
+//!    tree-only [`mcs_service::decode_request_via_tree`] answers, the same
+//!    `Ok` value or the same `Err`. And every accepted request or
+//!    response must print the same bytes written directly as written
+//!    through its tree (`to_value`). A mismatch counts as a round-trip
+//!    failure.
 //!
 //! [`run_wal_fuzz`] does the same to the crash-recovery path: arbitrary
 //! WAL images go through [`mcs_service::recover_from_bytes`], which must
@@ -29,13 +38,14 @@ use std::panic::{self, AssertUnwindSafe};
 use ed25519::{hex_encode, SigningKey};
 use mcs_num::rng;
 use mcs_service::{
-    decode_request, decode_response, encode_frame, recover_from_bytes, scan_bytes, BidEnvelope,
-    Request, RosterEntry, RoundSpec, WalEvent, WAL_HEADER_LEN,
+    decode_request, decode_request_via_tree, decode_response, encode_frame, recover_from_bytes,
+    scan_bytes, BidEnvelope, Request, RosterEntry, RoundSpec, WalEvent, WAL_HEADER_LEN,
 };
 use mcs_sim::Setting;
 use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use serde::Serialize;
 
 /// Hand-written corpus lines compiled into the binary: valid requests
 /// and responses, near-misses (missing fields, unknown tags), the
@@ -76,7 +86,9 @@ pub struct FuzzOutcome {
     /// Inputs that made a decoder panic — always a bug.
     pub panics: u64,
     /// Accepted inputs whose decode → encode → decode round trip was
-    /// not a fixed point — always a bug.
+    /// not a fixed point, inputs on which the one-pass and tree decoders
+    /// disagree, and accepted values whose direct and tree encodings
+    /// differ — always a bug.
     pub roundtrip_failures: u64,
 }
 
@@ -179,12 +191,25 @@ enum Probe {
     Unstable,
 }
 
+/// Whether the direct writer and the tree writer print the same bytes.
+fn writers_agree<T: Serialize>(value: &T) -> bool {
+    let direct = serde_json::to_string(value).expect("values always serialize");
+    let tree = serde_json::to_string(&value.to_value()).expect("trees always serialize");
+    direct == tree
+}
+
 /// Decodes a line as a request and as a response; any accepted decode
 /// must survive encode → decode with an identical re-encoding, and any
-/// accepted instance must digest and yield its coverage problem.
+/// accepted instance must digest and yield its coverage problem. The
+/// request decoder must agree with its tree-only reference, and the
+/// direct writer with the tree writer.
 fn probe(line: &str) -> Probe {
     let mut any_accepted = false;
-    if let Ok(request) = decode_request(line) {
+    let decoded = decode_request(line);
+    if decoded != decode_request_via_tree(line) {
+        return Probe::Unstable;
+    }
+    if let Ok(request) = decoded {
         any_accepted = true;
         match &request {
             Request::RunAuction { instance, .. }
@@ -194,6 +219,9 @@ fn probe(line: &str) -> Probe {
                 std::hint::black_box(instance.sparse_coverage());
             }
             _ => {}
+        }
+        if !writers_agree(&request) {
+            return Probe::Unstable;
         }
         let encoded = serde_json::to_string(&request).expect("accepted requests re-encode");
         match decode_request(&encoded) {
@@ -206,8 +234,13 @@ fn probe(line: &str) -> Probe {
             Err(_) => return Probe::Unstable,
         }
     }
+    // Responses have no one-pass reader: `decode_response` is the tree
+    // path itself.
     if let Ok(response) = decode_response(line) {
         any_accepted = true;
+        if !writers_agree(&response) {
+            return Probe::Unstable;
+        }
         let encoded = serde_json::to_string(&response).expect("accepted responses re-encode");
         match decode_response(&encoded) {
             Ok(again) => {
