@@ -6,7 +6,7 @@
 //! Dawid–Skene model, one of the truth-discovery style estimators the paper
 //! cites for maintaining the skill record `θ`.
 
-use mcs_types::WorkerId;
+use mcs_types::{TaskId, WorkerId};
 
 use crate::estimate::{EstimateError, EstimateSource, SkillEstimate};
 use crate::labels::{Label, LabelSet};
@@ -93,6 +93,18 @@ impl DawidSkeneFit {
     }
 }
 
+/// The result of [`DawidSkene::fit_blocks`].
+#[derive(Debug)]
+pub(crate) struct BlockFit {
+    /// Per block, the posterior probability that each task's true label is
+    /// `+1`.
+    pub(crate) posteriors: Vec<Vec<f64>>,
+    /// Iterations actually run.
+    pub(crate) iterations: usize,
+    /// Whether the tolerance was reached before the iteration cap.
+    pub(crate) converged: bool,
+}
+
 impl DawidSkene {
     /// Fits the model to a label set with `num_workers` workers.
     ///
@@ -104,75 +116,108 @@ impl DawidSkene {
     ///
     /// Panics if an observation references `worker ≥ num_workers`.
     pub fn fit(&self, labels: &LabelSet, num_workers: usize) -> DawidSkeneFit {
-        let num_tasks = labels.num_tasks();
-        // Initialize posteriors from vote fractions.
-        let mut posterior_pos: Vec<f64> = (0..num_tasks)
-            .map(|j| {
-                let reports = labels.for_task(mcs_types::TaskId(j as u32));
-                if reports.is_empty() {
-                    return 0.5;
-                }
-                let pos = reports.iter().filter(|&&(_, l)| l == Label::Pos).count();
-                pos as f64 / reports.len() as f64
-            })
-            .collect();
-        let mut accuracies = vec![0.5; num_workers];
         let mut observations = vec![0u64; num_workers];
         for obs in labels.iter() {
             let w = obs.worker.index();
             assert!(w < num_workers, "observation references unknown worker");
             observations[w] += 1;
         }
+        // One block of weight 1, started from the uninformative 0.5.
+        let mut accuracies = vec![0.5; num_workers];
+        let BlockFit {
+            mut posteriors,
+            iterations,
+            converged,
+        } = self.fit_blocks(std::slice::from_ref(labels), &[1.0], &mut accuracies);
+        DawidSkeneFit {
+            accuracies,
+            posterior_pos: posteriors.pop().unwrap_or_default(),
+            observations,
+            iterations,
+            converged,
+        }
+    }
+
+    /// The EM over label blocks that share per-worker accuracies, each
+    /// block with its own ground truth and so its own label posteriors
+    /// (initialized from vote fractions). The M-step weighs block `b`'s
+    /// observations by `weights[b]`. `accuracies` is the warm start and
+    /// receives the fit; a worker with no weighted observation keeps its
+    /// entry.
+    pub(crate) fn fit_blocks(
+        &self,
+        blocks: &[LabelSet],
+        weights: &[f64],
+        accuracies: &mut [f64],
+    ) -> BlockFit {
+        let mut posteriors: Vec<Vec<f64>> = blocks
+            .iter()
+            .map(|block| {
+                (0..block.num_tasks())
+                    .map(|j| {
+                        let reports = block.for_task(TaskId(j as u32));
+                        if reports.is_empty() {
+                            return 0.5;
+                        }
+                        let pos = reports.iter().filter(|&&(_, l)| l == Label::Pos).count();
+                        pos as f64 / reports.len() as f64
+                    })
+                    .collect()
+            })
+            .collect();
         let mut iterations = 0;
         let mut converged = false;
 
         for _ in 0..self.max_iterations {
             iterations += 1;
-            // M-step: accuracy = posterior-weighted agreement.
-            let mut agree = vec![0.0f64; num_workers];
-            let mut total = vec![0.0f64; num_workers];
-            for obs in labels.iter() {
-                let w = obs.worker.index();
-                assert!(w < num_workers, "observation references unknown worker");
-                let p_pos = posterior_pos[obs.task.index()];
-                let p_agree = match obs.label {
-                    Label::Pos => p_pos,
-                    Label::Neg => 1.0 - p_pos,
-                };
-                agree[w] += p_agree;
-                total[w] += 1.0;
+            // M-step: accuracy = weighted posterior agreement.
+            let mut agree = vec![0.0f64; accuracies.len()];
+            let mut total = vec![0.0f64; accuracies.len()];
+            for ((block, posts), &weight) in blocks.iter().zip(&posteriors).zip(weights) {
+                for obs in block.iter() {
+                    let p_pos = posts[obs.task.index()];
+                    let p_agree = match obs.label {
+                        Label::Pos => p_pos,
+                        Label::Neg => 1.0 - p_pos,
+                    };
+                    agree[obs.worker.index()] += weight * p_agree;
+                    total[obs.worker.index()] += weight;
+                }
             }
             let mut max_change = 0.0f64;
-            for w in 0..num_workers {
+            for (w, acc) in accuracies.iter_mut().enumerate() {
                 let new_acc = if total[w] > 0.0 {
                     (agree[w] / total[w]).clamp(self.clamp, 1.0 - self.clamp)
                 } else {
-                    0.5
+                    *acc
                 };
-                max_change = max_change.max((new_acc - accuracies[w]).abs());
-                accuracies[w] = new_acc;
+                max_change = max_change.max((new_acc - *acc).abs());
+                *acc = new_acc;
             }
 
-            // E-step: posterior ∝ prior · Π p(label | truth), uniform prior.
-            for (j, post) in posterior_pos.iter_mut().enumerate() {
-                let reports = labels.for_task(mcs_types::TaskId(j as u32));
-                if reports.is_empty() {
-                    *post = 0.5;
-                    continue;
+            // E-step: posterior ∝ prior · Π p(label | truth), uniform
+            // prior, per block under the shared accuracies.
+            for (block, posts) in blocks.iter().zip(&mut posteriors) {
+                for (j, post) in posts.iter_mut().enumerate() {
+                    let reports = block.for_task(TaskId(j as u32));
+                    if reports.is_empty() {
+                        *post = 0.5;
+                        continue;
+                    }
+                    // Log-odds of the +1 class.
+                    let log_odds: f64 = reports
+                        .iter()
+                        .map(|&(w, l)| {
+                            let a = accuracies[w.index()];
+                            let ratio = (a / (1.0 - a)).ln();
+                            match l {
+                                Label::Pos => ratio,
+                                Label::Neg => -ratio,
+                            }
+                        })
+                        .sum();
+                    *post = 1.0 / (1.0 + (-log_odds).exp());
                 }
-                // Log-odds of the +1 class.
-                let log_odds: f64 = reports
-                    .iter()
-                    .map(|&(w, l)| {
-                        let a = accuracies[w.index()];
-                        let ratio = (a / (1.0 - a)).ln();
-                        match l {
-                            Label::Pos => ratio,
-                            Label::Neg => -ratio,
-                        }
-                    })
-                    .sum();
-                *post = 1.0 / (1.0 + (-log_odds).exp());
             }
 
             if max_change < self.tolerance {
@@ -181,10 +226,8 @@ impl DawidSkene {
             }
         }
 
-        DawidSkeneFit {
-            accuracies,
-            posterior_pos,
-            observations,
+        BlockFit {
+            posteriors,
             iterations,
             converged,
         }

@@ -231,32 +231,27 @@ impl SkillTracker {
     /// Re-estimates accuracies from the current window and gold evidence.
     ///
     /// Runs the block-structured weighted EM warm-started from the last
-    /// fit, then blends each worker's EM estimate with her gold estimate
-    /// by evidence mass. Workers with no evidence on either channel stay
-    /// at the `0.5` prior.
+    /// fit: accuracies are shared across blocks, label posteriors are per
+    /// block (each block drew its own ground truth), and the M-step weighs
+    /// block `r`'s observations by `λ^age(r)`. It then blends each
+    /// worker's EM estimate with her gold estimate by evidence mass.
+    /// Workers with no evidence on either channel stay at the `0.5` prior.
     pub fn refit(&mut self) -> &[f64] {
-        let info = self.run_weighted_em();
-        let evidence = self.em_evidence();
-        for (w, &mass) in evidence.iter().enumerate() {
-            let em = (mass > 0.0)
-                .then(|| SkillEstimate::new(self.em_accuracies[w], mass, EstimateSource::Em));
-            let gold = (self.gold_answered[w] > 0).then(|| {
-                let acc =
-                    (self.gold_correct[w] as f64 + 1.0) / (self.gold_answered[w] as f64 + 2.0);
-                SkillEstimate::new(
-                    acc,
-                    self.gold_answered[w] as f64 * self.config.gold_weight,
-                    EstimateSource::Gold,
-                )
-            });
-            self.accuracies[w] = match (em, gold) {
-                (Some(e), Some(g)) => e.blend(&g).accuracy,
-                (Some(e), None) => e.accuracy,
-                (None, Some(g)) => g.accuracy,
-                (None, None) => 0.5,
-            };
+        let weights: Vec<f64> = (0..self.rounds.len())
+            .map(|idx| self.block_weight(idx))
+            .collect();
+        let fit = self
+            .config
+            .em
+            .fit_blocks(&self.rounds, &weights, &mut self.em_accuracies);
+        for (w, mass) in self.em_evidence().into_iter().enumerate() {
+            self.accuracies[w] = self.blended(w, mass).map_or(0.5, |e| e.accuracy);
         }
-        self.last_refit = Some(info);
+        self.last_refit = Some(RefitInfo {
+            iterations: fit.iterations,
+            converged: fit.converged,
+            window: self.rounds.len(),
+        });
         &self.accuracies
     }
 
@@ -275,9 +270,16 @@ impl SkillTracker {
                 num_workers: self.num_workers,
             });
         }
-        let evidence = self.em_evidence()[w];
-        let em = (evidence > 0.0)
-            .then(|| SkillEstimate::new(self.em_accuracies[w], evidence, EstimateSource::Em));
+        self.blended(w, self.em_evidence()[w])
+            .ok_or(EstimateError::NoObservations { worker })
+    }
+
+    /// Worker `w`'s estimate from the channels with evidence: the EM
+    /// accuracy backed by its evidence `mass`, the Laplace-smoothed gold
+    /// accuracy, or their evidence-weighted blend (`None` without either).
+    fn blended(&self, w: usize, mass: f64) -> Option<SkillEstimate> {
+        let em = (mass > 0.0)
+            .then(|| SkillEstimate::new(self.em_accuracies[w], mass, EstimateSource::Em));
         let gold = (self.gold_answered[w] > 0).then(|| {
             let acc = (self.gold_correct[w] as f64 + 1.0) / (self.gold_answered[w] as f64 + 2.0);
             SkillEstimate::new(
@@ -287,99 +289,8 @@ impl SkillTracker {
             )
         });
         match (em, gold) {
-            (Some(e), Some(g)) => Ok(e.blend(&g)),
-            (Some(e), None) => Ok(e),
-            (None, Some(g)) => Ok(g),
-            (None, None) => Err(EstimateError::NoObservations { worker }),
-        }
-    }
-
-    /// The weighted, block-structured EM at the tracker's core.
-    ///
-    /// Accuracies are shared across blocks; label posteriors are per
-    /// block/task (each block drew its own ground truth). The M-step
-    /// weighs block `r`'s observations by `λ^age(r)`.
-    fn run_weighted_em(&mut self) -> RefitInfo {
-        let em = self.config.em;
-        // Per-block posteriors, initialized from vote fractions — except
-        // blocks are re-initialized every refit; the warm state is the
-        // accuracy vector.
-        let mut posteriors: Vec<Vec<f64>> = self
-            .rounds
-            .iter()
-            .map(|block| {
-                (0..block.num_tasks())
-                    .map(|j| {
-                        let reports = block.for_task(mcs_types::TaskId(j as u32));
-                        if reports.is_empty() {
-                            return 0.5;
-                        }
-                        let pos = reports.iter().filter(|&&(_, l)| l == Label::Pos).count();
-                        pos as f64 / reports.len() as f64
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut iterations = 0usize;
-        let mut converged = false;
-        for _ in 0..em.max_iterations {
-            iterations += 1;
-            // M-step: forgetting-weighted posterior agreement.
-            let mut agree = vec![0.0f64; self.num_workers];
-            let mut total = vec![0.0f64; self.num_workers];
-            for (idx, block) in self.rounds.iter().enumerate() {
-                let w_r = self.block_weight(idx);
-                for obs in block.iter() {
-                    let p_pos = posteriors[idx][obs.task.index()];
-                    let p_agree = match obs.label {
-                        Label::Pos => p_pos,
-                        Label::Neg => 1.0 - p_pos,
-                    };
-                    agree[obs.worker.index()] += w_r * p_agree;
-                    total[obs.worker.index()] += w_r;
-                }
-            }
-            let mut max_change = 0.0f64;
-            for w in 0..self.num_workers {
-                let new_acc = if total[w] > 0.0 {
-                    (agree[w] / total[w]).clamp(em.clamp, 1.0 - em.clamp)
-                } else {
-                    self.em_accuracies[w]
-                };
-                max_change = max_change.max((new_acc - self.em_accuracies[w]).abs());
-                self.em_accuracies[w] = new_acc;
-            }
-            // E-step: per-block log-odds under the shared accuracies.
-            for (idx, block) in self.rounds.iter().enumerate() {
-                for (j, post) in posteriors[idx].iter_mut().enumerate() {
-                    let reports = block.for_task(mcs_types::TaskId(j as u32));
-                    if reports.is_empty() {
-                        *post = 0.5;
-                        continue;
-                    }
-                    let log_odds: f64 = reports
-                        .iter()
-                        .map(|&(w, l)| {
-                            let a = self.em_accuracies[w.index()];
-                            let ratio = (a / (1.0 - a)).ln();
-                            match l {
-                                Label::Pos => ratio,
-                                Label::Neg => -ratio,
-                            }
-                        })
-                        .sum();
-                    *post = 1.0 / (1.0 + (-log_odds).exp());
-                }
-            }
-            if max_change < em.tolerance {
-                converged = true;
-                break;
-            }
-        }
-        RefitInfo {
-            iterations,
-            converged,
-            window: self.rounds.len(),
+            (Some(e), Some(g)) => Some(e.blend(&g)),
+            (e, g) => e.or(g),
         }
     }
 }

@@ -26,6 +26,7 @@
 //! differentially and the unit tests below pin it per arrival.
 
 use mcs_types::{CoverageView, Instance, McsError, Price, PriceGrid, SparseCoverage, WorkerId};
+use serde::{Deserialize, Serialize};
 
 use crate::schedule::{apply_winner, celf_sequence, marginal_gain, COVER_EPS};
 
@@ -103,7 +104,7 @@ pub fn greedy_sequence(
 }
 
 /// Replay counters: how the pricer absorbed each arrival.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplayStats {
     /// Arrivals absorbed with pool bookkeeping only (bid above the quote).
     pub skipped: u64,

@@ -19,36 +19,30 @@
 //! decision and cross-checks it against what the log recorded, so a
 //! crashed service resumes the stream exactly where it stopped.
 //!
-//! The posted price is drawn from the exponential-mechanism PMF over the
-//! sample schedule (the same ε-DP channel as the offline auction), and
-//! the density threshold is the least dense selection-time gain of the
-//! sample's greedy winner sequence at that price. This follows
-//! `mcs_sim::online::StageThreshold`, with one difference: the session
-//! normalises the mechanism's exponent (`2 N c_max`) by the sample's
-//! size, the simulator by the whole pool's. Fed the simulator's
-//! timeline and seed, a stream therefore draws from a sharper PMF and
-//! can post a different price, and with it take different decisions.
+//! The session holds no mechanism of its own. When the sample completes
+//! it runs the simulator's learner, `ThresholdInfo::learn`, over an
+//! instance of the sample alone, and every later arrival goes through the
+//! simulator's admission rule, `ThresholdInfo::admit`; decision reasons
+//! are `RejectReason::name`s, plus `"accepted"`. The one difference from
+//! `mcs_sim::online::StageThreshold` is the normalising instance: the
+//! simulator learns over the whole pool's instance, the session over the
+//! sample's, so the exponential mechanism's exponent (`2 N c_max`) is
+//! normalised by the sample's size. Fed the simulator's timeline and
+//! seed, a stream therefore draws from a sharper PMF and can post a
+//! different price, and with it take different decisions.
 
 use serde::{Deserialize, Serialize};
 
-use mcs_auction::replay::{apply_coverage, greedy_sequence, marginal_coverage, selection_gains};
-use mcs_auction::{ExponentialMechanism, ScheduleEngine, SelectionRule};
-use mcs_num::rng;
+use mcs_auction::replay::{apply_coverage, marginal_coverage};
 use mcs_types::{Bid, CoverageView, Price, SparseCoverage, WorkerId};
 
 use mcs_sim::campaign::{RoundPhase, RoundState};
+use mcs_sim::online::{RejectReason, ThresholdInfo};
 
 use crate::ledger::{AdmittedBid, RosterEntry, RoundError, RoundSpec};
 
-/// Coverage slack mirroring the simulator's `COVER_EPS`.
+/// Coverage slack of the `covered` flag: the engines' `COVER_EPS`.
 const COVER_EPS: f64 = 1e-9;
-/// Density slack mirroring the simulator's `DENSITY_EPS`.
-const DENSITY_EPS: f64 = 1e-12;
-/// Derivation stream of the posted-price draw: the constant the
-/// simulator's stage-sampling mechanism uses. The two draw from
-/// differently normalised PMFs (see the module docs), so the same seed
-/// need not post the same price.
-const STREAM_PRICE: u64 = 0x4F4E_4C50; // "ONLP"
 
 /// Everything a streaming session needs before arrivals start.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,14 +82,6 @@ impl StreamSpec {
     }
 }
 
-/// The learned posted-price threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct StreamThreshold {
-    price: Price,
-    density: f64,
-    fallback: bool,
-}
-
 /// The immediate decision for one stream arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamDecision {
@@ -103,9 +89,9 @@ pub struct StreamDecision {
     pub accepted: bool,
     /// The payment made, [`Price::ZERO`] when rejected.
     pub payment: Price,
-    /// Stable snake_case decision reason: `"accepted"`,
-    /// `"sample_observed"`, `"coverage_met"`, `"quote_exceeded"`,
-    /// `"not_needed"`, or `"below_density"`.
+    /// Stable snake_case decision reason: `"accepted"`, or the
+    /// [`RejectReason::name`] of `"sample_observed"`, `"coverage_met"`,
+    /// `"quote_exceeded"`, `"not_needed"`, or `"below_density"`.
     pub reason: &'static str,
     /// The posted price, once the sample completed (`None` during the
     /// observation prefix).
@@ -113,11 +99,11 @@ pub struct StreamDecision {
 }
 
 impl StreamDecision {
-    fn rejected(reason: &'static str, posted_price: Option<Price>) -> StreamDecision {
+    fn rejected(reason: RejectReason, posted_price: Option<Price>) -> StreamDecision {
         StreamDecision {
             accepted: false,
             payment: Price::ZERO,
-            reason,
+            reason: reason.name(),
             posted_price,
         }
     }
@@ -175,7 +161,7 @@ pub struct StreamSession {
     spec: StreamSpec,
     /// Every decided arrival, in order, with its `(accepted, payment)`.
     arrivals: Vec<(AdmittedBid, bool, Price)>,
-    threshold: Option<StreamThreshold>,
+    threshold: Option<ThresholdInfo>,
     /// Residual coverage requirements; empty until the first arrival
     /// fixes the requirement vector (it depends only on the spec's error
     /// bounds, which every arrival instance shares).
@@ -184,17 +170,6 @@ pub struct StreamSession {
     /// The shared round lifecycle, in its streaming column
     /// (`Streaming → Closed | Aborted`).
     lifecycle: RoundState,
-}
-
-/// The most permissive posted price when the sample cannot cover: the
-/// grid maximum, with a zero density bar.
-fn fallback_threshold(spec: &RoundSpec) -> StreamThreshold {
-    let price = spec.grid().map(|g| g.max()).unwrap_or(spec.price_max);
-    StreamThreshold {
-        price,
-        density: 0.0,
-        fallback: true,
-    }
 }
 
 impl StreamSession {
@@ -293,30 +268,22 @@ impl StreamSession {
     ) -> Result<(StreamDecision, SparseCoverage), RoundError> {
         let (instance, _) = self.spec.round.instance([(worker, bid)])?;
         let cover = instance.sparse_coverage();
-        if self.arrivals.len() < self.spec.sample_target {
-            return Ok((StreamDecision::rejected("sample_observed", None), cover));
-        }
-        let t = self
-            .threshold
-            .expect("threshold is learned when the sample completes");
+        // The threshold is learned the moment the sample completes.
+        let Some(t) = self.threshold else {
+            let observed = StreamDecision::rejected(RejectReason::SampleObserved, None);
+            return Ok((observed, cover));
+        };
         let posted = Some(t.price);
         // The first arrival fixed the residual, so it is set by now.
         let gain = marginal_coverage(&cover, WorkerId(0), &self.residual);
-        let decision = if self.remaining <= COVER_EPS {
-            StreamDecision::rejected("coverage_met", posted)
-        } else if bid.price() > t.price {
-            StreamDecision::rejected("quote_exceeded", posted)
-        } else if gain <= COVER_EPS {
-            StreamDecision::rejected("not_needed", posted)
-        } else if gain / t.price.as_f64().max(f64::MIN_POSITIVE) + DENSITY_EPS < t.density {
-            StreamDecision::rejected("below_density", posted)
-        } else {
-            StreamDecision {
+        let decision = match t.admit(self.remaining, bid.price(), gain) {
+            Ok(()) => StreamDecision {
                 accepted: true,
                 payment: t.price,
                 reason: "accepted",
                 posted_price: posted,
-            }
+            },
+            Err(reason) => StreamDecision::rejected(reason, posted),
         };
         Ok((decision, cover))
     }
@@ -344,53 +311,26 @@ impl StreamSession {
         }
     }
 
-    /// Stage 1 of the OMG-style mechanism: build the sample pool's
-    /// cheapest feasible schedule, draw the posted price from its ε-DP
-    /// exponential-mechanism PMF (seeded, so replay redraws the same
-    /// price), and bar admission below the least dense selection-time
-    /// gain of the sample's greedy winner sequence at that price.
-    fn learn_threshold(&self) -> StreamThreshold {
+    /// Stage 1 over the completed sample: the simulator's learner run on
+    /// an instance of the sample alone, with the spec's ε and seed (so
+    /// replay redraws the same price). Should the sample not form an
+    /// instance, the threshold falls back to the grid maximum, as it does
+    /// for a sample that cannot cover.
+    fn learn_threshold(&self) -> ThresholdInfo {
         let spec = &self.spec.round;
         let sample = self.arrivals[..self.spec.sample_target]
             .iter()
             .map(|(b, ..)| (b.worker, &b.bid));
-        let Ok((instance, _)) = spec.instance(sample) else {
-            return fallback_threshold(spec);
-        };
-        let engine = ScheduleEngine::new(SelectionRule::MarginalCoverage);
-        let Ok(schedule) = engine.build(&instance) else {
-            return fallback_threshold(spec);
-        };
-        let Ok(mechanism) = ExponentialMechanism::for_instance(spec.epsilon, &instance) else {
-            return fallback_threshold(spec);
-        };
-        let pmf = mechanism.pmf(schedule);
-        let mut draw = rng::derived(self.spec.seed, STREAM_PRICE);
-        let price = pmf.sample(&mut draw).price();
-
-        let cover = instance.sparse_coverage();
-        let requirements = cover.requirements().to_vec();
-        let candidates: Vec<WorkerId> = (0..instance.num_workers() as u32)
-            .map(WorkerId)
-            .filter(|&w| instance.bids().bid(w).price() <= price)
-            .collect();
-        match greedy_sequence(&instance, &requirements, &candidates) {
-            Ok(sequence) if !sequence.is_empty() => {
-                let gains = selection_gains(&cover, &requirements, &sequence);
-                let min_gain = gains.iter().fold(f64::INFINITY, |m, &g| m.min(g));
-                StreamThreshold {
-                    price,
-                    density: min_gain / price.as_f64().max(f64::MIN_POSITIVE),
-                    fallback: false,
-                }
-            }
-            Ok(_) => StreamThreshold {
-                price,
-                density: 0.0,
-                fallback: false,
-            },
-            Err(_) => fallback_threshold(spec),
-        }
+        let learned = spec.instance(sample).ok().and_then(|(instance, _)| {
+            let pool: Vec<WorkerId> = (0..instance.num_workers() as u32).map(WorkerId).collect();
+            ThresholdInfo::learn(&instance, &pool, Some(spec.epsilon), self.spec.seed).ok()
+        });
+        learned.unwrap_or_else(|| ThresholdInfo {
+            price: spec.grid().map(|g| g.max()).unwrap_or(spec.price_max),
+            density: 0.0,
+            sample_size: self.spec.sample_target,
+            fallback: true,
+        })
     }
 
     /// Moves the session to `to`: `Closed` or `Aborted`. Payments
@@ -460,7 +400,11 @@ mod tests {
     use crate::envelope::EnvelopeError;
     use crate::ledger::RosterEntry;
     use ed25519::{hex_encode, SigningKey};
+    use mcs_auction::{privacy, ExponentialMechanism, PricePmf, ScheduleEngine, SelectionRule};
+    use mcs_num::rng;
     use mcs_types::{Bundle, TaskId};
+    use rand::seq::SliceRandom;
+    use rand::Rng;
 
     fn key_for(worker: u32) -> SigningKey {
         let mut seed = [0u8; 32];
@@ -645,5 +589,100 @@ mod tests {
         let paid: i64 =
             receipt.posted_price.map(Price::tenths).unwrap_or(0) * receipt.accepted.len() as i64;
         assert_eq!(receipt.total_paid.tenths(), paid);
+    }
+
+    /// A stream-like sample: a roster of 2–12 workers over 1–4 tasks,
+    /// with random skills, error bounds, grid step and ε, each worker
+    /// bidding a random bundle at a random price.
+    fn random_sample(seed: u64, public_key: &str) -> (RoundSpec, Vec<(WorkerId, Bid)>) {
+        let mut r = rng::seeded(seed);
+        let workers = r.gen_range(2..=12u32);
+        let num_tasks = r.gen_range(1..=4usize);
+        let spec = RoundSpec {
+            round_id: seed,
+            num_tasks,
+            error_bounds: (0..num_tasks).map(|_| r.gen_range(0.35..0.9)).collect(),
+            price_min: Price::from_f64(1.0),
+            price_max: Price::from_f64(31.0),
+            price_step: Price::from_f64([0.5, 1.0, 2.0, 5.0][r.gen_range(0..4usize)]),
+            cost_min: Price::from_f64(1.0),
+            cost_max: Price::from_f64(30.0),
+            epsilon: [0.1, 0.5, 1.0, 4.0][r.gen_range(0..4usize)],
+            roster: (0..workers)
+                .map(|w| RosterEntry {
+                    worker: WorkerId(w),
+                    public_key: public_key.to_string(),
+                    skills: (0..num_tasks).map(|_| r.gen_range(0.6..1.0)).collect(),
+                })
+                .collect(),
+        };
+        let sample = (0..workers)
+            .map(|w| {
+                let mut tasks: Vec<TaskId> = (0..num_tasks as u32).map(TaskId).collect();
+                tasks.shuffle(&mut r);
+                tasks.truncate(r.gen_range(1..=num_tasks));
+                let price = Price::from_tenths(r.gen_range(10..=300));
+                (WorkerId(w), Bid::new(Bundle::new(tasks), price))
+            })
+            .collect();
+        (spec, sample)
+    }
+
+    /// The price lottery a session learns from `sample`: the exponential
+    /// mechanism over the schedule of an instance of the sample alone,
+    /// normalised by that instance (`None` when the sample cannot cover).
+    fn sample_lottery(spec: &RoundSpec, sample: &[(WorkerId, Bid)]) -> Option<PricePmf> {
+        let (instance, _) = spec
+            .instance(sample.iter().map(|(w, b)| (*w, b)))
+            .expect("sample instance");
+        let schedule = ScheduleEngine::new(SelectionRule::MarginalCoverage)
+            .build(&instance)
+            .ok()?;
+        let mechanism = ExponentialMechanism::for_instance(spec.epsilon, &instance).expect("ε");
+        Some(mechanism.pmf(schedule))
+    }
+
+    #[test]
+    fn the_sample_normalised_price_channel_is_epsilon_dp() {
+        let public_key = hex_encode(&key_for(0).verifying_key().to_bytes());
+        // Pairs compared, pairs whose support shifted, largest ratio / ε.
+        let (mut pairs, mut shifts, mut worst) = (0u64, 0u64, 0.0f64);
+        for seed in 0..1_000u64 {
+            let (spec, sample) = random_sample(seed, &public_key);
+            let Some(truthful) = sample_lottery(&spec, &sample) else {
+                continue;
+            };
+            let (lo, hi) = (spec.cost_min.tenths(), spec.cost_max.tenths());
+            for i in 0..sample.len() {
+                let now = sample[i].1.price().tenths();
+                let mut moves = vec![lo, hi, (now - 1).max(lo), (now + 1).min(hi)];
+                moves.sort_unstable();
+                moves.dedup();
+                for tenths in moves.into_iter().filter(|&t| t != now) {
+                    let mut neighbour = sample.clone();
+                    let bundle = neighbour[i].1.bundle().clone();
+                    neighbour[i].1 = Bid::new(bundle, Price::from_tenths(tenths));
+                    let ratio = sample_lottery(&spec, &neighbour)
+                        .and_then(|other| privacy::dp_log_ratio(&truthful, &other));
+                    let Some(ratio) = ratio else {
+                        shifts += 1;
+                        continue;
+                    };
+                    pairs += 1;
+                    worst = worst.max(ratio / spec.epsilon);
+                    assert!(
+                        ratio <= spec.epsilon + 1e-9,
+                        "seed {seed}, worker {i} → {tenths} tenths: log-ratio {ratio} > ε = {}",
+                        spec.epsilon
+                    );
+                }
+            }
+        }
+        // 1 000 samples give ≈ 18 000 comparable pairs and ≈ 3 000 shifts;
+        // the largest log-ratio is ≈ 0.15 ε.
+        assert!(
+            pairs >= 10_000,
+            "{pairs} comparable pairs ({shifts} support shifts), worst ratio {worst} ε"
+        );
     }
 }

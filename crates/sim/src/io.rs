@@ -11,7 +11,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use mcs_types::{Instance, TrueType};
+use mcs_types::{Instance, McsError, TrueType};
 
 use crate::{GeneratedInstance, Setting};
 
@@ -52,14 +52,30 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Reads a snapshot back.
+    /// Reads a snapshot back and checks that its instance is one the
+    /// auctions can run, with one private type per worker.
     ///
     /// # Errors
     ///
-    /// I/O or deserialization failures.
+    /// I/O or deserialization failures, and [`SnapshotError::Invalid`]
+    /// for an instance [`Instance::validate`] refuses or a `types` list
+    /// whose length is not the worker count.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Snapshot, SnapshotError> {
         let file = File::open(path)?;
-        Ok(serde_json::from_reader(BufReader::new(file))?)
+        let snapshot: Snapshot = serde_json::from_reader(BufReader::new(file))?;
+        snapshot
+            .instance
+            .validate()
+            .map_err(SnapshotError::Invalid)?;
+        let workers = snapshot.instance.num_workers();
+        if snapshot.types.len() != workers {
+            return Err(SnapshotError::Invalid(McsError::DimensionMismatch {
+                what: "snapshot worker types",
+                expected: workers,
+                actual: snapshot.types.len(),
+            }));
+        }
+        Ok(snapshot)
     }
 
     /// Consumes the snapshot into the generated pair.
@@ -79,6 +95,8 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// JSON (de)serialization failure.
     Json(serde_json::Error),
+    /// The file decoded, but its contents cannot be auctioned.
+    Invalid(McsError),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -86,6 +104,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o failed: {e}"),
             SnapshotError::Json(e) => write!(f, "snapshot encoding failed: {e}"),
+            SnapshotError::Invalid(e) => write!(f, "snapshot holds an invalid workload: {e}"),
         }
     }
 }
@@ -95,6 +114,7 @@ impl std::error::Error for SnapshotError {
         match self {
             SnapshotError::Io(e) => Some(e),
             SnapshotError::Json(e) => Some(e),
+            SnapshotError::Invalid(e) => Some(e),
         }
     }
 }
@@ -151,6 +171,48 @@ mod tests {
         let err = Snapshot::load("/nonexistent/dp-mcs-snapshot.json").unwrap_err();
         assert!(matches!(err, SnapshotError::Io(_)));
         assert!(err.to_string().contains("i/o"));
+    }
+
+    #[test]
+    fn load_refuses_workloads_the_auction_cannot_run() {
+        let setting = Setting::one(80).scaled_down(4);
+        let snap = Snapshot::capture(&setting, 5);
+        assert_eq!(snap.instance.num_tasks(), 7);
+        let path = std::env::temp_dir().join("dp_mcs_snapshot_invalid.json");
+
+        // One task fewer than the skill rows and error bounds describe.
+        snap.save(&path).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let at = json.find("\"instance\": {").unwrap();
+        let (setting, instance) = json.split_at(at);
+        let edited = instance.replacen("\"num_tasks\": 7", "\"num_tasks\": 1", 1);
+        assert_ne!(edited, instance);
+        std::fs::write(&path, format!("{setting}{edited}")).unwrap();
+        let err = Snapshot::load(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Invalid(McsError::DimensionMismatch { .. })
+            ),
+            "{err}"
+        );
+
+        // One private type short of the worker count.
+        let mut short = snap.clone();
+        short.types.pop();
+        short.save(&path).unwrap();
+        let err = Snapshot::load(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Invalid(McsError::DimensionMismatch {
+                    what: "snapshot worker types",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

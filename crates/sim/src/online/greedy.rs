@@ -1,11 +1,10 @@
 //! The trivial online baseline: admit anyone useful, pay-as-bid.
 
-use mcs_auction::replay::{apply_coverage, marginal_coverage};
-use mcs_types::{CoverageView, Instance, McsError, Price};
+use mcs_types::{Instance, McsError};
 
-use super::report::{AdmitReport, Decision, OnlineRoundReport, PricingPath, RejectReason};
+use super::report::{OnlineRoundReport, PricingPath, RejectReason};
 use super::timeline::ArrivalTimeline;
-use super::{round_summary, HindsightTracker, OnlineMechanism, COVER_EPS};
+use super::{offline_optimum, run_arrivals, OnlineMechanism, COVER_EPS};
 
 /// The greedy pay-as-bid baseline: every arrival contributing positive
 /// marginal coverage is admitted at their own bid until the requirements
@@ -14,7 +13,7 @@ use super::{round_summary, HindsightTracker, OnlineMechanism, COVER_EPS};
 /// learned threshold buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GreedyBaseline {
-    pricing: Option<PricingPath>,
+    pricing: PricingPath,
 }
 
 impl GreedyBaseline {
@@ -25,7 +24,7 @@ impl GreedyBaseline {
 
     /// Selects the hindsight pricing path (incremental replay by default).
     pub fn pricing(mut self, path: PricingPath) -> GreedyBaseline {
-        self.pricing = Some(path);
+        self.pricing = path;
         self
     }
 }
@@ -41,66 +40,31 @@ impl OnlineMechanism for GreedyBaseline {
         timeline: &ArrivalTimeline,
         _seed: u64,
     ) -> Result<OnlineRoundReport, McsError> {
-        let pricing = self.pricing.unwrap_or(PricingPath::Incremental);
-        let cover = instance.sparse_coverage();
-        let requirements = cover.requirements().to_vec();
-        let total_requirement: f64 = requirements.iter().map(|r| r.max(0.0)).sum();
-        let offline_payment = super::offline_optimum(instance);
-
-        let mut tracker = HindsightTracker::new(instance, pricing);
-        let mut residual = requirements.clone();
-        let mut remaining = total_requirement;
-        let mut decisions = Vec::with_capacity(timeline.len());
-        let mut accepted = Vec::new();
-        let mut paid_tenths: i64 = 0;
-
-        for a in timeline.arrivals() {
-            let hindsight = tracker.observe(instance, a.worker)?;
-            let gain = marginal_coverage(&cover, a.worker, &residual);
-            let decision = if remaining <= COVER_EPS {
-                Decision::Rejected(RejectReason::CoverageMet)
-            } else if gain <= COVER_EPS {
-                Decision::Rejected(RejectReason::NotNeeded)
-            } else {
-                let payment = instance.bids().bid(a.worker).price();
-                accepted.push(a.worker);
-                paid_tenths += payment.tenths();
-                apply_coverage(&cover, a.worker, &mut residual, &mut remaining);
-                Decision::Accepted { payment }
-            };
-            decisions.push(AdmitReport {
-                worker: a.worker,
-                at: a.at,
-                decision,
-                marginal_coverage: gain,
-                hindsight,
-            });
-        }
-
-        accepted.sort_unstable();
-        let total_payment = Price::from_tenths(paid_tenths);
-        let (achieved, covered, ratio) =
-            round_summary(total_requirement, remaining, total_payment, offline_payment);
-        Ok(OnlineRoundReport {
-            mechanism: self.name().to_string(),
-            decisions,
-            accepted,
-            total_payment,
-            achieved_coverage: achieved,
-            covered,
+        let offline_payment = offline_optimum(instance);
+        run_arrivals(
+            self.name(),
+            instance,
+            timeline,
+            self.pricing,
             offline_payment,
-            competitive_ratio: ratio,
-            threshold: None,
-            replay: tracker.counters(),
-            pricing,
-        })
+            None,
+            |_, worker, remaining, gain| {
+                if remaining <= COVER_EPS {
+                    Err(RejectReason::CoverageMet)
+                } else if gain <= COVER_EPS {
+                    Err(RejectReason::NotNeeded)
+                } else {
+                    Ok(instance.bids().bid(worker).price())
+                }
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::{ArrivalTimeline, TimelineConfig};
+    use crate::online::{Decision, TimelineConfig};
     use crate::Setting;
 
     #[test]

@@ -18,6 +18,14 @@
 //!   paying the posted price (so reports stay truthful).
 //! * [`GreedyBaseline`] — admit anyone useful, pay-as-bid; the naive
 //!   comparator.
+//! * [`ThresholdInfo`] — the learned threshold, and the one implementation
+//!   of both stages: [`ThresholdInfo::learn`] (stage 1) and
+//!   [`ThresholdInfo::admit`] (stage 2). `mcs-service`'s streaming
+//!   sessions run the same two methods, over an instance of the sample
+//!   alone.
+//!
+//! Both mechanisms run one arrival loop and differ only in the admission
+//! decision they hand it.
 //!
 //! Every run also maintains the *hindsight benchmark*: after each arrival,
 //! the cheapest feasible uniform grid price over everyone seen so far.
@@ -50,13 +58,14 @@ mod timeline;
 pub use greedy::GreedyBaseline;
 pub use report::{
     AdmitReport, Decision, HindsightQuote, OnlineRoundReport, PricingPath, RejectReason,
-    ReplayCounters, ThresholdInfo,
+    ThresholdInfo,
 };
 pub use threshold::StageThreshold;
 pub use timeline::{Arrival, ArrivalTimeline, TimelineConfig};
 
-use mcs_auction::{OnlinePricer, ScheduleEngine, SelectionRule};
-use mcs_types::{Instance, McsError, WorkerId};
+use mcs_auction::replay::{apply_coverage, marginal_coverage};
+use mcs_auction::{OnlinePricer, ReplayStats, ScheduleEngine, SelectionRule};
+use mcs_types::{CoverageView, Instance, McsError, Price, WorkerId};
 
 /// Matches the engines' coverage slack (`mcs-auction`'s `COVER_EPS`).
 pub(crate) const COVER_EPS: f64 = 1e-9;
@@ -79,7 +88,7 @@ pub trait OnlineMechanism {
 /// The offline benchmark: minimum uniform-price total payment of the full
 /// hindsight instance under Algorithm 1's engine (`None` when even the
 /// full pool cannot cover the requirements).
-pub fn offline_optimum(instance: &Instance) -> Option<mcs_types::Price> {
+pub fn offline_optimum(instance: &Instance) -> Option<Price> {
     ScheduleEngine::new(SelectionRule::MarginalCoverage)
         .build(instance)
         .ok()
@@ -102,7 +111,6 @@ impl HindsightTracker {
     pub(crate) fn new(instance: &Instance, path: PricingPath) -> HindsightTracker {
         let pricer = OnlinePricer::new(instance);
         let cover = instance.sparse_coverage();
-        use mcs_types::CoverageView;
         HindsightTracker {
             path,
             pricer,
@@ -153,31 +161,83 @@ impl HindsightTracker {
     }
 
     /// Replay counters (zero for the from-scratch path).
-    pub(crate) fn counters(&self) -> ReplayCounters {
+    pub(crate) fn counters(&self) -> ReplayStats {
         match self.path {
-            PricingPath::Incremental => self.pricer.stats().into(),
-            PricingPath::FromScratch => ReplayCounters::default(),
+            PricingPath::Incremental => self.pricer.stats(),
+            PricingPath::FromScratch => ReplayStats::default(),
         }
     }
 }
 
-/// Shared end-of-round accounting: achieved coverage fraction and the
-/// competitive ratio against the offline optimum.
-pub(crate) fn round_summary(
-    total_requirement: f64,
-    remaining: f64,
-    total_payment: mcs_types::Price,
-    offline_payment: Option<mcs_types::Price>,
-) -> (f64, bool, Option<f64>) {
+/// The arrival loop of every online mechanism. Each arrival is absorbed
+/// into the hindsight benchmark, then `decide(index, worker, remaining,
+/// gain)` takes the admission decision from the arrival's position in the
+/// timeline, the coverage deficit still open and the worker's marginal
+/// coverage against the residual: `Ok(payment)` admits the worker, whose
+/// coverage is then applied. The round ends with its coverage and
+/// competitive-ratio accounting against `offline_payment`.
+pub(crate) fn run_arrivals(
+    mechanism: &str,
+    instance: &Instance,
+    timeline: &ArrivalTimeline,
+    pricing: PricingPath,
+    offline_payment: Option<Price>,
+    threshold: Option<ThresholdInfo>,
+    mut decide: impl FnMut(usize, WorkerId, f64, f64) -> Result<Price, RejectReason>,
+) -> Result<OnlineRoundReport, McsError> {
+    let cover = instance.sparse_coverage();
+    let mut residual = cover.requirements().to_vec();
+    let total_requirement: f64 = residual.iter().map(|r| r.max(0.0)).sum();
+    let mut remaining = total_requirement;
+    let mut tracker = HindsightTracker::new(instance, pricing);
+    let mut decisions = Vec::with_capacity(timeline.len());
+    let mut accepted = Vec::new();
+    let mut paid_tenths: i64 = 0;
+
+    for (idx, a) in timeline.arrivals().iter().enumerate() {
+        let hindsight = tracker.observe(instance, a.worker)?;
+        let gain = marginal_coverage(&cover, a.worker, &residual);
+        let decision = match decide(idx, a.worker, remaining, gain) {
+            Ok(payment) => {
+                accepted.push(a.worker);
+                paid_tenths += payment.tenths();
+                apply_coverage(&cover, a.worker, &mut residual, &mut remaining);
+                Decision::Accepted { payment }
+            }
+            Err(reason) => Decision::Rejected(reason),
+        };
+        decisions.push(AdmitReport {
+            worker: a.worker,
+            at: a.at,
+            decision,
+            marginal_coverage: gain,
+            hindsight,
+        });
+    }
+
+    accepted.sort_unstable();
+    let total_payment = Price::from_tenths(paid_tenths);
     let covered = remaining <= COVER_EPS;
-    let achieved = if total_requirement <= COVER_EPS {
+    let achieved_coverage = if total_requirement <= COVER_EPS {
         1.0
     } else {
         (1.0 - remaining / total_requirement).clamp(0.0, 1.0)
     };
-    let ratio = match offline_payment {
+    let competitive_ratio = match offline_payment {
         Some(off) if covered && off.tenths() > 0 => Some(total_payment.as_f64() / off.as_f64()),
         _ => None,
     };
-    (achieved, covered, ratio)
+    Ok(OnlineRoundReport {
+        mechanism: mechanism.to_string(),
+        decisions,
+        accepted,
+        total_payment,
+        achieved_coverage,
+        covered,
+        offline_payment,
+        competitive_ratio,
+        threshold,
+        replay: tracker.counters(),
+        pricing,
+    })
 }

@@ -5,9 +5,10 @@ use mcs_types::{Price, WorkerId};
 use serde::{DeError, Deserialize, Serialize, Sink, Value};
 
 /// Which machinery priced the running hindsight benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PricingPath {
     /// `OnlinePricer`'s warm-started winner-sequence replay (PR 5 path).
+    #[default]
     Incremental,
     /// A from-scratch `ScheduleEngine::build_residual` per arrival — the
     /// baseline the bench compares the incremental path against.
@@ -83,7 +84,8 @@ impl Deserialize for PricingPath {
 }
 
 impl RejectReason {
-    fn tag(&self) -> &'static str {
+    /// The stable snake_case name reports and stream decisions carry.
+    pub fn name(&self) -> &'static str {
         match self {
             RejectReason::SampleObserved => "sample_observed",
             RejectReason::QuoteExceeded => "quote_exceeded",
@@ -97,7 +99,7 @@ impl RejectReason {
 
 impl Serialize for RejectReason {
     fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.str(self.tag());
+        out.str(self.name());
     }
 }
 
@@ -190,7 +192,9 @@ pub struct AdmitReport {
     pub hindsight: Option<HindsightQuote>,
 }
 
-/// The learned stage-sampling threshold (absent for the greedy baseline).
+/// The stage-sampling threshold: what [`ThresholdInfo::learn`] learns from
+/// the observed sample and [`ThresholdInfo::admit`] admits by. Absent
+/// from the greedy baseline's reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThresholdInfo {
     /// Posted price paid to every admitted worker.
@@ -202,27 +206,6 @@ pub struct ThresholdInfo {
     /// Whether the sample could not cover the requirements and the
     /// mechanism fell back to the most permissive threshold.
     pub fallback: bool,
-}
-
-/// Replay counters mirrored from [`ReplayStats`] in serialisable form.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplayCounters {
-    /// Arrivals absorbed with pool bookkeeping only.
-    pub skipped: u64,
-    /// Arrivals where replaying the incumbent sequence confirmed it.
-    pub confirmed: u64,
-    /// Arrivals that forced a warm-started greedy rerun.
-    pub rebuilt: u64,
-}
-
-impl From<ReplayStats> for ReplayCounters {
-    fn from(s: ReplayStats) -> Self {
-        ReplayCounters {
-            skipped: s.skipped,
-            confirmed: s.confirmed,
-            rebuilt: s.rebuilt,
-        }
-    }
 }
 
 /// The full outcome of one streamed round.
@@ -248,8 +231,9 @@ pub struct OnlineRoundReport {
     pub competitive_ratio: Option<f64>,
     /// The learned threshold, absent for the greedy baseline.
     pub threshold: Option<ThresholdInfo>,
-    /// How the hindsight benchmark absorbed each arrival.
-    pub replay: ReplayCounters,
+    /// How the hindsight benchmark absorbed each arrival (all zero on the
+    /// from-scratch path).
+    pub replay: ReplayStats,
     /// Which hindsight pricing path ran.
     pub pricing: PricingPath,
 }

@@ -1,16 +1,14 @@
 //! OMG-style stage sampling: learn a threshold from a rejected prefix,
 //! post a price, admit by marginal-coverage density.
 
-use mcs_auction::replay::{greedy_sequence, marginal_coverage, selection_gains};
+use mcs_auction::replay::{greedy_sequence, selection_gains};
 use mcs_auction::{ExponentialMechanism, ScheduleEngine, SelectionRule};
 use mcs_num::rng;
-use mcs_types::{CoverageView, Instance, McsError, Price, WorkerId};
+use mcs_types::{CoverageView, Instance, McsError, Price, SparseCoverage, WorkerId};
 
-use super::report::{
-    AdmitReport, Decision, OnlineRoundReport, PricingPath, RejectReason, ThresholdInfo,
-};
+use super::report::{OnlineRoundReport, PricingPath, RejectReason, ThresholdInfo};
 use super::timeline::ArrivalTimeline;
-use super::{round_summary, HindsightTracker, OnlineMechanism, COVER_EPS};
+use super::{offline_optimum, run_arrivals, OnlineMechanism, COVER_EPS};
 
 /// Derivation stream for the DP threshold-price draw.
 const STREAM_THRESHOLD: u64 = 0x4F4E_4C50; // "ONLP"
@@ -20,18 +18,118 @@ const STREAM_THRESHOLD: u64 = 0x4F4E_4C50; // "ONLP"
 /// re-arriving, say) is admitted, not knife-edge rejected.
 const DENSITY_EPS: f64 = 1e-12;
 
+impl ThresholdInfo {
+    /// Stage 1: learns the posted price `p̂` and the density bar `ρ̂` from
+    /// the workers of `pool` alone, never from anyone outside it.
+    ///
+    /// The engine builds the residual schedule of `pool` against
+    /// `instance`'s requirements. `p̂` is its cheapest feasible price or,
+    /// with `epsilon`, a draw seeded by `seed` from the exponential
+    /// mechanism over that schedule, normalised by `instance`'s worker
+    /// count and cost range. `ρ̂` is the least dense selection-time gain,
+    /// per unit of `p̂`, of the greedy winner sequence over the pool
+    /// members bidding at most `p̂`. A pool that cannot cover falls back to
+    /// the grid maximum with a zero bar, so the round can still chase
+    /// coverage.
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::InvalidEpsilon`] for an unusable `epsilon` (raised only
+    /// when the pool covers, since only then is there a price to draw).
+    pub fn learn(
+        instance: &Instance,
+        pool: &[WorkerId],
+        epsilon: Option<f64>,
+        seed: u64,
+    ) -> Result<ThresholdInfo, McsError> {
+        let fallback = ThresholdInfo {
+            price: instance.price_grid().max(),
+            density: 0.0,
+            sample_size: pool.len(),
+            fallback: true,
+        };
+        let cover = instance.sparse_coverage();
+        let engine = ScheduleEngine::new(SelectionRule::MarginalCoverage);
+        let Ok(schedule) = engine.build_residual(instance, cover.requirements(), pool) else {
+            return Ok(fallback);
+        };
+        let price = match epsilon {
+            Some(epsilon) => {
+                let mechanism = ExponentialMechanism::for_instance(epsilon, instance)?;
+                let mut draw = rng::derived(seed, STREAM_THRESHOLD);
+                mechanism.pmf(schedule).sample(&mut draw).price()
+            }
+            None => schedule.price(0),
+        };
+        let Ok(density) = least_density(instance, &cover, pool, price) else {
+            return Ok(fallback);
+        };
+        Ok(ThresholdInfo {
+            price,
+            density,
+            fallback: false,
+            ..fallback
+        })
+    }
+
+    /// Stage 2: the admission rule for one arrival bidding `bid` with
+    /// marginal coverage `gain`, while `remaining` coverage is still open.
+    /// An admitted worker is paid the posted price.
+    ///
+    /// # Errors
+    ///
+    /// The first reason, in this order, that turns the arrival away:
+    /// coverage already met, bid above the posted price, nothing left to
+    /// contribute, or density below the bar.
+    pub fn admit(&self, remaining: f64, bid: Price, gain: f64) -> Result<(), RejectReason> {
+        if remaining <= COVER_EPS {
+            Err(RejectReason::CoverageMet)
+        } else if bid > self.price {
+            Err(RejectReason::QuoteExceeded)
+        } else if gain <= COVER_EPS {
+            Err(RejectReason::NotNeeded)
+        } else if gain / self.price.as_f64().max(f64::MIN_POSITIVE) + DENSITY_EPS < self.density {
+            Err(RejectReason::BelowDensity)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// The least dense selection-time marginal gain, per unit of `price`, of
+/// the greedy winner sequence over the members of `pool` bidding at most
+/// `price` (zero for an empty sequence).
+fn least_density(
+    instance: &Instance,
+    cover: &SparseCoverage,
+    pool: &[WorkerId],
+    price: Price,
+) -> Result<f64, McsError> {
+    let candidates: Vec<WorkerId> = pool
+        .iter()
+        .copied()
+        .filter(|&w| instance.bids().bid(w).price() <= price)
+        .collect();
+    let sequence = greedy_sequence(instance, cover.requirements(), &candidates)?;
+    if sequence.is_empty() {
+        return Ok(0.0);
+    }
+    let gains = selection_gains(cover, cover.requirements(), &sequence);
+    let min_gain = gains.iter().fold(f64::INFINITY, |m, &g| m.min(g));
+    Ok(min_gain / price.as_f64().max(f64::MIN_POSITIVE))
+}
+
 /// The threshold-based stage-sampling online mechanism.
 ///
 /// **Stage 1 (observe).** The first `sample_fraction` of arrivals are
-/// observed and rejected — never admitted, never paid. The engine builds
-/// the residual schedule of the sample pool; its cheapest feasible price
-/// becomes the posted price `p̂`, and the least dense selection-time
-/// marginal gain of the sample winner sequence at `p̂` divided by `p̂`
-/// becomes the density threshold `ρ̂`.
+/// observed and rejected — never admitted, never paid — and
+/// [`ThresholdInfo::learn`] turns them into the posted price `p̂` and the
+/// density threshold `ρ̂`.
 ///
 /// **Stage 2 (admit).** Every later arrival bidding at most `p̂` whose
 /// marginal coverage per unit of `p̂` is at least `ρ̂` is admitted and paid
-/// exactly `p̂`, until the coverage requirements are met.
+/// exactly `p̂`, until the coverage requirements are met
+/// ([`ThresholdInfo::admit`]).
 ///
 /// Because `p̂` and `ρ̂` depend only on the *sample* (whose members are
 /// never paid) and admission depends on a worker's report only through the
@@ -110,85 +208,31 @@ impl StageThreshold {
         instance: &Instance,
         timeline: &ArrivalTimeline,
     ) -> Result<OnlineRoundReport, McsError> {
-        let cover = instance.sparse_coverage();
-        let requirements = cover.requirements().to_vec();
-        let total_requirement: f64 = requirements.iter().map(|r| r.max(0.0)).sum();
-
-        let engine = ScheduleEngine::new(SelectionRule::MarginalCoverage);
-        let offline = engine.build(instance)?;
+        let offline = ScheduleEngine::new(SelectionRule::MarginalCoverage).build(instance)?;
         let price = offline.price(0);
         let winners = offline.winners(0);
-        let offline_payment = offline.min_total_payment();
-
-        // Reconstruct the selection-time density of the least dense winner
-        // for the report (the admission rule itself is set membership).
-        let candidates: Vec<WorkerId> = (0..instance.num_workers() as u32)
-            .map(WorkerId)
-            .filter(|&w| instance.bids().bid(w).price() <= price)
-            .collect();
-        let sequence = greedy_sequence(instance, &requirements, &candidates)?;
-        let gains = selection_gains(&cover, &requirements, &sequence);
-        let density = if sequence.is_empty() {
-            0.0
-        } else {
-            gains.iter().fold(f64::INFINITY, |m, &g| m.min(g))
-                / price.as_f64().max(f64::MIN_POSITIVE)
+        // The selection-time density of the least dense winner, for the
+        // report (the admission rule itself is set membership).
+        let everyone: Vec<WorkerId> = (0..instance.num_workers() as u32).map(WorkerId).collect();
+        let cover = instance.sparse_coverage();
+        let threshold = ThresholdInfo {
+            price,
+            density: least_density(instance, &cover, &everyone, price)?,
+            sample_size: 0,
+            fallback: false,
         };
-
-        let mut tracker = HindsightTracker::new(instance, self.pricing);
-        let mut residual = requirements.clone();
-        let mut remaining = total_requirement;
-        let mut decisions = Vec::with_capacity(timeline.len());
-        let mut accepted = Vec::new();
-        let mut paid_tenths: i64 = 0;
-
-        for a in timeline.arrivals() {
-            let hindsight = tracker.observe(instance, a.worker)?;
-            let gain = marginal_coverage(&cover, a.worker, &residual);
-            let decision = if winners.binary_search(&a.worker).is_ok() {
-                accepted.push(a.worker);
-                paid_tenths += price.tenths();
-                mcs_auction::replay::apply_coverage(
-                    &cover,
-                    a.worker,
-                    &mut residual,
-                    &mut remaining,
-                );
-                Decision::Accepted { payment: price }
-            } else {
-                Decision::Rejected(RejectReason::NotSelected)
-            };
-            decisions.push(AdmitReport {
-                worker: a.worker,
-                at: a.at,
-                decision,
-                marginal_coverage: gain,
-                hindsight,
-            });
-        }
-
-        accepted.sort_unstable();
-        let total_payment = Price::from_tenths(paid_tenths);
-        let (achieved, covered, ratio) =
-            round_summary(total_requirement, remaining, total_payment, offline_payment);
-        Ok(OnlineRoundReport {
-            mechanism: self.name().to_string(),
-            decisions,
-            accepted,
-            total_payment,
-            achieved_coverage: achieved,
-            covered,
-            offline_payment,
-            competitive_ratio: ratio,
-            threshold: Some(ThresholdInfo {
-                price,
-                density,
-                sample_size: 0,
-                fallback: false,
-            }),
-            replay: tracker.counters(),
-            pricing: self.pricing,
-        })
+        run_arrivals(
+            self.name(),
+            instance,
+            timeline,
+            self.pricing,
+            offline.min_total_payment(),
+            Some(threshold),
+            |_, worker, _, _| match winners.binary_search(&worker) {
+                Ok(_) => Ok(price),
+                Err(_) => Err(RejectReason::NotSelected),
+            },
+        )
     }
 }
 
@@ -206,125 +250,36 @@ impl OnlineMechanism for StageThreshold {
         if self.lookahead {
             return self.run_lookahead(instance, timeline);
         }
-
-        let cover = instance.sparse_coverage();
-        let requirements = cover.requirements().to_vec();
-        let total_requirement: f64 = requirements.iter().map(|r| r.max(0.0)).sum();
-        let offline_payment = super::offline_optimum(instance);
-
+        let offline_payment = offline_optimum(instance);
         let n = timeline.len();
         let sample_size = ((self.sample_fraction * n as f64).ceil() as usize).min(n);
         let sample_pool: Vec<WorkerId> = timeline.arrivals()[..sample_size]
             .iter()
             .map(|a| a.worker)
             .collect();
-
-        // Stage 1: learn (p̂, ρ̂) from the sample pool alone.
-        let engine = ScheduleEngine::new(SelectionRule::MarginalCoverage);
-        let learned = engine.build_residual(instance, &requirements, &sample_pool);
-        let (price, density, fallback) = match learned {
-            Ok(schedule) => {
-                let price = match self.epsilon {
-                    Some(epsilon) => {
-                        let pmf = ExponentialMechanism::for_instance(epsilon, instance)?
-                            .pmf(schedule.clone());
-                        let mut r = rng::derived(seed, STREAM_THRESHOLD);
-                        pmf.sample(&mut r).price()
-                    }
-                    None => schedule.price(0),
-                };
-                let candidates: Vec<WorkerId> = sample_pool
-                    .iter()
-                    .copied()
-                    .filter(|&w| instance.bids().bid(w).price() <= price)
-                    .collect();
-                match greedy_sequence(instance, &requirements, &candidates) {
-                    Ok(sequence) if !sequence.is_empty() => {
-                        let gains = selection_gains(&cover, &requirements, &sequence);
-                        let min_gain = gains.iter().fold(f64::INFINITY, |m, &g| m.min(g));
-                        let density = min_gain / price.as_f64().max(f64::MIN_POSITIVE);
-                        (price, density, false)
-                    }
-                    Ok(_) => (price, 0.0, false),
-                    Err(_) => (instance.price_grid().max(), 0.0, true),
-                }
-            }
-            // Sample too thin to cover: fall back to the most permissive
-            // threshold so the round can still chase coverage.
-            Err(_) => (instance.price_grid().max(), 0.0, true),
-        };
-
-        // Stage 2: admit by density at the posted price.
-        let mut tracker = HindsightTracker::new(instance, self.pricing);
-        let mut residual = requirements.clone();
-        let mut remaining = total_requirement;
-        let mut decisions = Vec::with_capacity(n);
-        let mut accepted = Vec::new();
-        let mut paid_tenths: i64 = 0;
-
-        for (idx, a) in timeline.arrivals().iter().enumerate() {
-            let hindsight = tracker.observe(instance, a.worker)?;
-            let gain = marginal_coverage(&cover, a.worker, &residual);
-            let bid = instance.bids().bid(a.worker).price();
-            let decision = if idx < sample_size {
-                Decision::Rejected(RejectReason::SampleObserved)
-            } else if remaining <= COVER_EPS {
-                Decision::Rejected(RejectReason::CoverageMet)
-            } else if bid > price {
-                Decision::Rejected(RejectReason::QuoteExceeded)
-            } else if gain <= COVER_EPS {
-                Decision::Rejected(RejectReason::NotNeeded)
-            } else if gain / price.as_f64().max(f64::MIN_POSITIVE) + DENSITY_EPS < density {
-                Decision::Rejected(RejectReason::BelowDensity)
-            } else {
-                accepted.push(a.worker);
-                paid_tenths += price.tenths();
-                mcs_auction::replay::apply_coverage(
-                    &cover,
-                    a.worker,
-                    &mut residual,
-                    &mut remaining,
-                );
-                Decision::Accepted { payment: price }
-            };
-            decisions.push(AdmitReport {
-                worker: a.worker,
-                at: a.at,
-                decision,
-                marginal_coverage: gain,
-                hindsight,
-            });
-        }
-
-        accepted.sort_unstable();
-        let total_payment = Price::from_tenths(paid_tenths);
-        let (achieved, covered, ratio) =
-            round_summary(total_requirement, remaining, total_payment, offline_payment);
-        Ok(OnlineRoundReport {
-            mechanism: self.name().to_string(),
-            decisions,
-            accepted,
-            total_payment,
-            achieved_coverage: achieved,
-            covered,
+        let threshold = ThresholdInfo::learn(instance, &sample_pool, self.epsilon, seed)?;
+        run_arrivals(
+            self.name(),
+            instance,
+            timeline,
+            self.pricing,
             offline_payment,
-            competitive_ratio: ratio,
-            threshold: Some(ThresholdInfo {
-                price,
-                density,
-                sample_size,
-                fallback,
-            }),
-            replay: tracker.counters(),
-            pricing: self.pricing,
-        })
+            Some(threshold),
+            |idx, worker, remaining, gain| {
+                if idx < sample_size {
+                    return Err(RejectReason::SampleObserved);
+                }
+                threshold.admit(remaining, instance.bids().bid(worker).price(), gain)?;
+                Ok(threshold.price)
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::TimelineConfig;
+    use crate::online::{Decision, TimelineConfig};
     use crate::Setting;
 
     #[test]
