@@ -70,8 +70,8 @@ impl Neg for Label {
     }
 }
 
-// Hand-written serde: the vendored derive does not support enums, and the
-// signed-integer encoding (`1` / `-1`) matches the paper's ±1 label model.
+// Hand-written serde: the signed-integer encoding (`1` / `-1`) matches the
+// paper's ±1 label model, where the derive would write a variant's name.
 impl Serialize for Label {
     fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
         out.i64(match self {

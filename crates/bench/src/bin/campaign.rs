@@ -40,11 +40,10 @@
 //! `--quick` shrinks the fleet and the round count to a smoke-test size
 //! (used by CI; the checked-in JSON comes from a full run).
 
-use std::path::PathBuf;
-
 use serde::Serialize;
 
 use mcs_auction::DpHsrcAuction;
+use mcs_bench::Cli;
 use mcs_num::rng;
 use mcs_sim::campaign::{
     run_campaign, AdversaryGroup, AdversaryPlan, AdversaryStrategy, CampaignOutcome, CampaignSpec,
@@ -331,29 +330,8 @@ fn measure_refit(fleet: u64, base_seed: u64, frac: f64, rounds: usize) -> RefitR
 }
 
 fn main() {
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("BENCH_campaign.json");
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a path"));
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: campaign [--seed N] [--out PATH] [--quick]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (cli, out) = Cli::parse_recorded("BENCH_campaign.json");
+    let (seed, quick) = (cli.seed, cli.quick);
     let (fleet, rounds) = if quick { (3, 8) } else { (16, 16) };
 
     println!(" ring  size  acc −gate  acc +gate  steady −gate  steady +gate  recovery  bans  skipped  worst-lr");

@@ -28,12 +28,12 @@
 //! usage: online_stream [--seed N] [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
 
 use ed25519::{hex_encode, Signature, SigningKey, VerifyingKey};
+use mcs_bench::Cli;
 use mcs_service::{
     BidEnvelope, DurabilityConfig, Request, Response, RosterEntry, RoundSpec, Service,
     ServiceConfig, StreamSpec,
@@ -326,29 +326,8 @@ fn run_pricing_scenario(workers: usize, seed: u64) -> PricingScenario {
 }
 
 fn main() {
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("BENCH_online.json");
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a path"));
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!("usage: online_stream [--seed N] [--out PATH] [--quick]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (cli, out) = Cli::parse_recorded("BENCH_online.json");
+    let (seed, quick) = (cli.seed, cli.quick);
 
     let service_sizes: &[(u32, usize)] = if quick {
         &[(100, 25)]

@@ -19,13 +19,13 @@
 //! ```
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
+use mcs_bench::Cli;
 use mcs_service::{Request, Response, Service, ServiceConfig, TcpClient, TcpServer};
 use mcs_sim::Setting;
 use mcs_types::Instance;
@@ -160,29 +160,8 @@ fn run_scenario(name: &str, concurrency: usize, requests: Vec<Request>) -> Scena
 }
 
 fn main() {
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("BENCH_service.json");
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a path"));
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!("usage: service_load [--seed N] [--out PATH] [--quick]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (cli, out) = Cli::parse_recorded("BENCH_service.json");
+    let (seed, quick) = (cli.seed, cli.quick);
 
     let (cold_n, cached_n) = if quick { (20, 200) } else { (90, 900) };
     let setting = Setting::one(WORKERS_IN_SETTING);

@@ -26,11 +26,10 @@
 //! `--quick` shrinks the fleet and the sample count to a smoke-test
 //! size (used by CI; the checked-in JSON comes from a full run).
 
-use std::path::PathBuf;
-
 use serde::Serialize;
 
 use mcs_auction::{ScheduleEngine, SelectionRule};
+use mcs_bench::Cli;
 use mcs_types::{BernoulliCompletion, CompletionModel, Instance};
 use mcs_verify::chance::{self, ChanceStats};
 use mcs_verify::gen::{generate, Shape};
@@ -128,29 +127,8 @@ fn measure_rung(fleet: u64, base_seed: u64, t: f64, samples: u64) -> RungRow {
 }
 
 fn main() {
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("BENCH_uncertain.json");
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out needs a path"));
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: uncertain_premium [--seed N] [--out PATH] [--quick]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (cli, out) = Cli::parse_recorded("BENCH_uncertain.json");
+    let (seed, quick) = (cli.seed, cli.quick);
     let (fleet, samples) = if quick { (8, 1_000) } else { (40, 10_000) };
 
     println!("    t   γ range              mean payment  premium  rate/γ  analytic");

@@ -19,6 +19,8 @@ use mcs_sim::output::{render_table, write_csv, TableRow};
 /// ```text
 /// --seed N          RNG seed (default 42)
 /// --csv PATH        also write the rows as CSV
+/// --out PATH        where a recorded bench writes its JSON (default: its
+///                   BENCH_*.json)
 /// --samples N       Monte-Carlo validation samples (default 10000)
 /// --neighbours N    neighbouring profiles for privacy runs (default 5)
 /// --budget-secs S   per-price time budget for exact ILP solves (default 5)
@@ -26,12 +28,20 @@ use mcs_sim::output::{render_table, write_csv, TableRow};
 /// --full            run the full (slow) variant where applicable
 /// --quick           shrink the workload (scaled-down settings)
 /// ```
+///
+/// The figure and table binaries ([`Cli::parse`]) take every flag but
+/// `--out`; the recorded benches that write a `BENCH_*.json`
+/// ([`Cli::parse_recorded`]) take `--seed`, `--out` and `--quick`. Any
+/// other flag is refused with the usage text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// RNG seed for instance generation and sampling.
     pub seed: u64,
     /// Optional CSV output path.
     pub csv: Option<PathBuf>,
+    /// Where a recorded bench writes its JSON; `None` leaves the bin's
+    /// `BENCH_*.json`.
+    pub out: Option<PathBuf>,
     /// Monte-Carlo sample count where sampling is used.
     pub samples: usize,
     /// Number of neighbouring profiles in privacy experiments.
@@ -51,6 +61,7 @@ impl Default for Cli {
         Cli {
             seed: 42,
             csv: None,
+            out: None,
             samples: 10_000,
             neighbours: 5,
             budget_secs: 5,
@@ -61,30 +72,48 @@ impl Default for Cli {
     }
 }
 
+/// The usage of the figure and table binaries: the flags [`Cli::parse`]
+/// takes.
+const FIGURE_FLAGS: &str = "[--seed N] [--csv PATH] [--samples N] [--neighbours N] \
+                                [--budget-secs S] [--no-optimal] [--full] [--quick]";
+
+/// The usage of the recorded benches: the flags [`Cli::parse_recorded`]
+/// takes.
+const RECORDED_FLAGS: &str = "[--seed N] [--out PATH] [--quick]";
+
 impl Cli {
-    /// Parses `std::env::args`, exiting with usage text on error or
-    /// `--help`.
+    /// Parses `std::env::args` against the figure flags, exiting with usage
+    /// text on error or `--help`.
     pub fn parse() -> Cli {
-        match Cli::parse_from(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: [--seed N] [--csv PATH] [--samples N] [--neighbours N] \
-                     [--budget-secs S] [--no-optimal] [--full] [--quick]"
-                );
-                exit(2);
-            }
-        }
+        Cli::parse_or_exit(FIGURE_FLAGS)
     }
 
-    /// Parses an explicit argument list (testable core of [`Cli::parse`]).
+    /// Parses `std::env::args` against the recorded-bench flags like
+    /// [`Cli::parse`]. Returns the options and the path the bench writes
+    /// its JSON to: `--out`, else `default_out`.
+    pub fn parse_recorded(default_out: &str) -> (Cli, PathBuf) {
+        let cli = Cli::parse_or_exit(RECORDED_FLAGS);
+        let out = cli.out.clone().unwrap_or_else(|| default_out.into());
+        (cli, out)
+    }
+
+    fn parse_or_exit(flags: &str) -> Cli {
+        Cli::parse_from(flags, std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            eprintln!("usage: {flags}");
+            exit(2);
+        })
+    }
+
+    /// Parses an explicit argument list, taking only the flags the usage
+    /// text `flags` names (testable core of [`Cli::parse`] and
+    /// [`Cli::parse_recorded`]).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags, missing values,
+    /// Returns a human-readable message for other flags, missing values,
     /// or unparsable numbers.
-    pub fn parse_from<I, S>(args: I) -> Result<Cli, String>
+    fn parse_from<I, S>(flags: &str, args: I) -> Result<Cli, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -92,6 +121,13 @@ impl Cli {
         let mut cli = Cli::default();
         let mut it = args.into_iter().map(Into::into);
         while let Some(arg) = it.next() {
+            let mut named = flags.split('[').map(|f| f.split([' ', ']']).next());
+            if !named.any(|flag| flag == Some(arg.as_str())) {
+                return Err(match arg.as_str() {
+                    "--help" | "-h" => "help requested".into(),
+                    other => format!("unknown flag `{other}`"),
+                });
+            }
             match arg.as_str() {
                 "--seed" => cli.seed = next_value(&mut it, "--seed")?,
                 "--samples" => cli.samples = next_value(&mut it, "--samples")?,
@@ -104,10 +140,12 @@ impl Cli {
                 "--csv" => {
                     cli.csv = Some(PathBuf::from(it.next().ok_or("--csv needs a path")?));
                 }
+                "--out" => {
+                    cli.out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?));
+                }
                 "--no-optimal" => cli.no_optimal = true,
                 "--full" => cli.full = true,
                 "--quick" => cli.quick = true,
-                "--help" | "-h" => return Err("help requested".into()),
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -176,22 +214,25 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let cli = Cli::parse_from(Vec::<String>::new()).unwrap();
+        let cli = Cli::parse_from(FIGURE_FLAGS, Vec::<String>::new()).unwrap();
         assert_eq!(cli, Cli::default());
     }
 
     #[test]
     fn parses_flags() {
-        let cli = Cli::parse_from([
-            "--seed",
-            "7",
-            "--csv",
-            "/tmp/x.csv",
-            "--samples",
-            "100",
-            "--no-optimal",
-            "--full",
-        ])
+        let cli = Cli::parse_from(
+            FIGURE_FLAGS,
+            [
+                "--seed",
+                "7",
+                "--csv",
+                "/tmp/x.csv",
+                "--samples",
+                "100",
+                "--no-optimal",
+                "--full",
+            ],
+        )
         .unwrap();
         assert_eq!(cli.seed, 7);
         assert_eq!(cli.samples, 100);
@@ -199,13 +240,41 @@ mod tests {
         assert!(cli.no_optimal);
         assert!(cli.full);
         assert!(!cli.quick);
+        assert_eq!(cli.out, None);
+        assert!(Cli::parse_from(FIGURE_FLAGS, ["--out", "/tmp/b.json"]).is_err());
+    }
+
+    #[test]
+    fn parses_the_recorded_bench_flags() {
+        let args = ["--quick", "--out", "/tmp/b.json", "--seed", "3"];
+        let cli = Cli::parse_from(RECORDED_FLAGS, args).unwrap();
+        assert_eq!(
+            cli.out.as_deref(),
+            Some(std::path::Path::new("/tmp/b.json"))
+        );
+        assert_eq!((cli.seed, cli.quick), (3, true));
+        assert!(Cli::parse_from(RECORDED_FLAGS, ["--out"]).is_err());
+        for flag in [
+            "--csv",
+            "--samples",
+            "--neighbours",
+            "--budget-secs",
+            "--no-optimal",
+            "--full",
+        ] {
+            assert!(
+                Cli::parse_from(RECORDED_FLAGS, [flag, "1"]).is_err(),
+                "a recorded bench refuses {flag}"
+            );
+            assert!(FIGURE_FLAGS.contains(&format!("[{flag}")));
+        }
     }
 
     #[test]
     fn rejects_unknown_flag() {
-        assert!(Cli::parse_from(["--bogus"]).is_err());
-        assert!(Cli::parse_from(["--seed"]).is_err());
-        assert!(Cli::parse_from(["--seed", "abc"]).is_err());
+        assert!(Cli::parse_from(FIGURE_FLAGS, ["--bogus"]).is_err());
+        assert!(Cli::parse_from(FIGURE_FLAGS, ["--seed"]).is_err());
+        assert!(Cli::parse_from(FIGURE_FLAGS, ["--seed", "abc"]).is_err());
     }
 
     #[test]

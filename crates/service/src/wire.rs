@@ -3,12 +3,13 @@
 //! Both transports speak the same types. In-process callers hand a
 //! [`Request`] to [`crate::Client::call`] and get a [`Response`] back;
 //! the TCP transport ships the same values as one line of JSON per
-//! message (externally tagged on a `"type"` field).
+//! message.
 //!
-//! The enums' serde impls are hand-written because the vendored derive
-//! only handles structs; the encoding is the conventional externally
-//! tagged object, e.g. `{"type": "run_auction", "instance": …,
-//! "epsilon": 0.1, "seed": 7}`.
+//! Both enums derive their serde impls as internally tagged objects: the
+//! `"type"` member names the variant and the variant's fields follow,
+//! e.g. `{"type": "run_auction", "instance": …, "epsilon": 0.1,
+//! "seed": 7}`. A response that wraps one report carries it under one
+//! key, e.g. `{"type": "committed", "receipt": …}`.
 //!
 //! Both ends write a line straight into its `String`, building no value
 //! tree. [`decode_request`] reads a line in one pass straight into a
@@ -17,7 +18,7 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Offence, Reader, Serialize, Sink, Step, Value};
+use serde::{Deserialize, Offence, Serialize, Step, Value};
 
 use mcs_auction::AuctionOutcome;
 use mcs_sim::faults::FaultPlan;
@@ -29,7 +30,8 @@ use crate::ledger::{CommitReceipt, RoundSpec, RoundStatusView};
 use crate::stream::{StreamReceipt, StreamSpec, StreamStatusView};
 
 /// A request to the auction service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type")]
 pub enum Request {
     /// Run one DP-hSRC auction: build (or fetch) the price schedule and
     /// PMF for `(instance, epsilon)`, then sample a clearing price with
@@ -132,7 +134,8 @@ pub enum Request {
 }
 
 impl Request {
-    /// The stable endpoint name used in metrics and logs.
+    /// The stable endpoint name used in metrics and logs: the request's
+    /// `"type"` tag.
     pub fn endpoint(&self) -> &'static str {
         match self {
             Request::RunAuction { .. } => "run_auction",
@@ -153,7 +156,8 @@ impl Request {
 }
 
 /// A response from the auction service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type")]
 pub enum Response {
     /// The sampled auction outcome for a [`Request::RunAuction`].
     Outcome(AuctionOutcome),
@@ -194,6 +198,7 @@ pub enum Response {
         lsn: u64,
     },
     /// A durable round committed (or replayed its recorded commit).
+    #[serde(key = "receipt")]
     Committed(Box<CommitReceipt>),
     /// A durable round or a stream was aborted on request.
     Aborted {
@@ -203,6 +208,7 @@ pub enum Response {
         lsn: u64,
     },
     /// The phase and totals of a durable round.
+    #[serde(key = "status")]
     RoundStatus(RoundStatusView),
     /// A durable-round request was refused with a typed reason.
     Rejected {
@@ -240,8 +246,10 @@ pub enum Response {
         lsn: u64,
     },
     /// A streaming session closed (or replayed its recorded close).
+    #[serde(key = "receipt")]
     StreamClosed(Box<StreamReceipt>),
     /// The phase and totals of a streaming session.
+    #[serde(key = "status")]
     StreamStatus(StreamStatusView),
 }
 
@@ -529,312 +537,6 @@ fn validate_request(request: Request) -> Result<Request, WireError> {
 /// Returns the [`WireError`] variant describing the first problem found.
 pub fn decode_response(text: &str) -> Result<Response, WireError> {
     decode_checked(text)
-}
-
-/// Writes one `"key": value` member of an open object.
-fn member<S: Sink + ?Sized, T: Serialize + ?Sized>(out: &mut S, key: &str, value: &T) {
-    out.key(key);
-    value.serialize(out);
-}
-
-fn req_field<'v>(v: &'v Value, name: &'static str) -> Result<&'v Value, DeError> {
-    v.get(name).ok_or_else(|| DeError::missing_field(name))
-}
-
-impl Serialize for Request {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.begin_object();
-        // The tag is the endpoint name.
-        member(out, "type", self.endpoint());
-        match self {
-            Request::RunAuction {
-                instance,
-                epsilon,
-                seed,
-            } => {
-                member(out, "instance", instance);
-                member(out, "epsilon", epsilon);
-                member(out, "seed", seed);
-            }
-            Request::QueryPmf { instance, epsilon } => {
-                member(out, "instance", instance);
-                member(out, "epsilon", epsilon);
-            }
-            Request::RunResilientRound {
-                instance,
-                types,
-                epsilon,
-                plan,
-                config,
-                seed,
-            } => {
-                member(out, "instance", instance);
-                member(out, "types", types);
-                member(out, "epsilon", epsilon);
-                member(out, "plan", plan);
-                member(out, "config", config);
-                member(out, "seed", seed);
-            }
-            Request::Health | Request::Metrics => {}
-            Request::OpenRound { spec } => member(out, "spec", spec),
-            Request::SubmitBid { envelope } | Request::Arrive { envelope } => {
-                member(out, "envelope", envelope);
-            }
-            Request::CommitRound { round_id, seed } => {
-                member(out, "round_id", round_id);
-                member(out, "seed", seed);
-            }
-            Request::AbortRound { round_id }
-            | Request::RoundStatus { round_id }
-            | Request::CloseStream { round_id } => member(out, "round_id", round_id),
-            Request::OpenStream { spec } => member(out, "spec", spec),
-        }
-        out.end_object();
-    }
-}
-
-/// Reads the members left in an open object into a [`Request`] variant:
-/// each named field exactly once, in any order, and no other key; `None`
-/// otherwise.
-macro_rules! read_members {
-    ($r:ident, $variant:ident; $($field:ident: $ty:ty),*) => {{
-        $(let mut $field: Option<$ty> = None;)*
-        while let Some(key) = $r.next_key()? {
-            match key {
-                $(stringify!($field) if $field.is_none() => $field = Some(<$ty>::read($r)?),)*
-                _ => return None,
-            }
-        }
-        Some(Request::$variant { $($field: $field?),* })
-    }};
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag = String::from_value(req_field(v, "type")?)?;
-        match tag.as_str() {
-            "run_auction" => Ok(Request::RunAuction {
-                instance: Instance::from_value(req_field(v, "instance")?)?,
-                epsilon: f64::from_value(req_field(v, "epsilon")?)?,
-                seed: u64::from_value(req_field(v, "seed")?)?,
-            }),
-            "query_pmf" => Ok(Request::QueryPmf {
-                instance: Instance::from_value(req_field(v, "instance")?)?,
-                epsilon: f64::from_value(req_field(v, "epsilon")?)?,
-            }),
-            "run_resilient_round" => Ok(Request::RunResilientRound {
-                instance: Instance::from_value(req_field(v, "instance")?)?,
-                types: Vec::<TrueType>::from_value(req_field(v, "types")?)?,
-                epsilon: f64::from_value(req_field(v, "epsilon")?)?,
-                plan: FaultPlan::from_value(req_field(v, "plan")?)?,
-                config: ResilienceConfig::from_value(req_field(v, "config")?)?,
-                seed: u64::from_value(req_field(v, "seed")?)?,
-            }),
-            "health" => Ok(Request::Health),
-            "metrics" => Ok(Request::Metrics),
-            "open_round" => Ok(Request::OpenRound {
-                spec: RoundSpec::from_value(req_field(v, "spec")?)?,
-            }),
-            "submit_bid" => Ok(Request::SubmitBid {
-                envelope: BidEnvelope::from_value(req_field(v, "envelope")?)?,
-            }),
-            "commit_round" => Ok(Request::CommitRound {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                seed: u64::from_value(req_field(v, "seed")?)?,
-            }),
-            "abort_round" => Ok(Request::AbortRound {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-            }),
-            "round_status" => Ok(Request::RoundStatus {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-            }),
-            "open_stream" => Ok(Request::OpenStream {
-                spec: StreamSpec::from_value(req_field(v, "spec")?)?,
-            }),
-            "arrive" => Ok(Request::Arrive {
-                envelope: BidEnvelope::from_value(req_field(v, "envelope")?)?,
-            }),
-            "close_stream" => Ok(Request::CloseStream {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-            }),
-            other => Err(DeError::custom(format!("unknown request type `{other}`"))),
-        }
-    }
-
-    /// The one-pass reader, for `run_auction` and `query_pmf` only: the
-    /// long lines of the auction path. It takes the tag only as the first
-    /// key, which is where the writer puts it, and leaves any other order,
-    /// and every other request, to the tree path.
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        r.begin_object()?;
-        if r.next_key()? != Some("type") {
-            return None;
-        }
-        match r.str()? {
-            "run_auction" => {
-                read_members!(r, RunAuction; instance: Instance, epsilon: f64, seed: u64)
-            }
-            "query_pmf" => read_members!(r, QueryPmf; instance: Instance, epsilon: f64),
-            _ => None,
-        }
-    }
-}
-
-impl Response {
-    /// The `"type"` tag of the response's encoding.
-    fn tag(&self) -> &'static str {
-        match self {
-            Response::Outcome(_) => "outcome",
-            Response::Pmf(_) => "pmf",
-            Response::Round(_) => "round",
-            Response::Health(_) => "health",
-            Response::Metrics(_) => "metrics",
-            Response::Busy { .. } => "busy",
-            Response::ShuttingDown => "shutting_down",
-            Response::Error { .. } => "error",
-            Response::Opened { .. } => "opened",
-            Response::BidAccepted { .. } => "bid_accepted",
-            Response::Committed(_) => "committed",
-            Response::Aborted { .. } => "aborted",
-            Response::RoundStatus(_) => "round_status",
-            Response::Rejected { .. } => "rejected",
-            Response::StreamOpened { .. } => "stream_opened",
-            Response::ArrivalDecided { .. } => "arrival_decided",
-            Response::StreamClosed(_) => "stream_closed",
-            Response::StreamStatus(_) => "stream_status",
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.begin_object();
-        member(out, "type", self.tag());
-        match self {
-            Response::Outcome(o) => member(out, "outcome", o),
-            Response::Pmf(p) => member(out, "pmf", p),
-            Response::Round(r) => member(out, "round", r.as_ref()),
-            Response::Health(h) => member(out, "health", h),
-            Response::Metrics(m) => member(out, "metrics", m),
-            Response::Busy {
-                retry_after_hint_ms,
-            } => member(out, "retry_after_hint_ms", retry_after_hint_ms),
-            Response::ShuttingDown => {}
-            Response::Error { message } => member(out, "message", message),
-            Response::Opened { round_id, lsn }
-            | Response::BidAccepted { round_id, lsn }
-            | Response::Aborted { round_id, lsn } => {
-                member(out, "round_id", round_id);
-                member(out, "lsn", lsn);
-            }
-            Response::Committed(receipt) => member(out, "receipt", receipt.as_ref()),
-            Response::RoundStatus(view) => member(out, "status", view),
-            Response::Rejected { code, detail } => {
-                member(out, "code", code);
-                member(out, "detail", detail);
-            }
-            Response::StreamOpened {
-                round_id,
-                lsn,
-                sample_target,
-            } => {
-                member(out, "round_id", round_id);
-                member(out, "lsn", lsn);
-                member(out, "sample_target", sample_target);
-            }
-            Response::ArrivalDecided {
-                round_id,
-                worker,
-                accepted,
-                payment,
-                reason,
-                posted_price,
-                lsn,
-            } => {
-                member(out, "round_id", round_id);
-                member(out, "worker", worker);
-                member(out, "accepted", accepted);
-                member(out, "payment", payment);
-                member(out, "reason", reason);
-                member(out, "posted_price", posted_price);
-                member(out, "lsn", lsn);
-            }
-            Response::StreamClosed(receipt) => member(out, "receipt", receipt.as_ref()),
-            Response::StreamStatus(view) => member(out, "status", view),
-        }
-        out.end_object();
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag = String::from_value(req_field(v, "type")?)?;
-        match tag.as_str() {
-            "outcome" => Ok(Response::Outcome(AuctionOutcome::from_value(req_field(
-                v, "outcome",
-            )?)?)),
-            "pmf" => Ok(Response::Pmf(PmfSummary::from_value(req_field(v, "pmf")?)?)),
-            "round" => Ok(Response::Round(Box::new(DegradedRoundReport::from_value(
-                req_field(v, "round")?,
-            )?))),
-            "health" => Ok(Response::Health(HealthReport::from_value(req_field(
-                v, "health",
-            )?)?)),
-            "metrics" => Ok(Response::Metrics(MetricsReport::from_value(req_field(
-                v, "metrics",
-            )?)?)),
-            "busy" => Ok(Response::Busy {
-                retry_after_hint_ms: u64::from_value(req_field(v, "retry_after_hint_ms")?)?,
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                message: String::from_value(req_field(v, "message")?)?,
-            }),
-            "opened" => Ok(Response::Opened {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                lsn: u64::from_value(req_field(v, "lsn")?)?,
-            }),
-            "bid_accepted" => Ok(Response::BidAccepted {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                lsn: u64::from_value(req_field(v, "lsn")?)?,
-            }),
-            "committed" => Ok(Response::Committed(Box::new(CommitReceipt::from_value(
-                req_field(v, "receipt")?,
-            )?))),
-            "aborted" => Ok(Response::Aborted {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                lsn: u64::from_value(req_field(v, "lsn")?)?,
-            }),
-            "round_status" => Ok(Response::RoundStatus(RoundStatusView::from_value(
-                req_field(v, "status")?,
-            )?)),
-            "rejected" => Ok(Response::Rejected {
-                code: String::from_value(req_field(v, "code")?)?,
-                detail: String::from_value(req_field(v, "detail")?)?,
-            }),
-            "stream_opened" => Ok(Response::StreamOpened {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                lsn: u64::from_value(req_field(v, "lsn")?)?,
-                sample_target: usize::from_value(req_field(v, "sample_target")?)?,
-            }),
-            "arrival_decided" => Ok(Response::ArrivalDecided {
-                round_id: u64::from_value(req_field(v, "round_id")?)?,
-                worker: WorkerId::from_value(req_field(v, "worker")?)?,
-                accepted: bool::from_value(req_field(v, "accepted")?)?,
-                payment: Price::from_value(req_field(v, "payment")?)?,
-                reason: String::from_value(req_field(v, "reason")?)?,
-                posted_price: Option::<Price>::from_value(req_field(v, "posted_price")?)?,
-                lsn: u64::from_value(req_field(v, "lsn")?)?,
-            }),
-            "stream_closed" => Ok(Response::StreamClosed(Box::new(StreamReceipt::from_value(
-                req_field(v, "receipt")?,
-            )?))),
-            "stream_status" => Ok(Response::StreamStatus(StreamStatusView::from_value(
-                req_field(v, "status")?,
-            )?)),
-            other => Err(DeError::custom(format!("unknown response type `{other}`"))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1301,18 +1003,33 @@ mod tests {
     }
 
     #[test]
-    fn the_one_pass_reader_takes_every_written_auction_request() {
+    fn the_one_pass_reader_takes_every_written_request() {
         for req in requests_with_every_instance_shape() {
             let line = serde_json::to_string(&req).expect("serialize");
-            let auction = matches!(req, Request::RunAuction { .. } | Request::QueryPmf { .. });
             assert_eq!(
                 serde::read_document::<Request>(&line).as_ref(),
-                auction.then_some(&req),
+                Some(&req),
                 "{}",
                 req.endpoint()
             );
             assert_eq!(decode_request(&line), Ok(req));
         }
+    }
+
+    /// Edits of a written line that the one-pass reader refuses: the tag
+    /// moved last, an unknown member, an escaped key, a repeated member and
+    /// a missing one. `member` is a `"key":value,` run of the line.
+    fn edits_the_reader_refuses(line: &str, member: &str) -> Vec<String> {
+        let (tag, body) = line[1..].split_once(',').expect("the tag comes first");
+        let key = member.split(':').next().expect("a key");
+        let escaped = format!(r#""\u{:04x}{}"#, key.as_bytes()[1], &key[2..]);
+        vec![
+            format!("{{{},{tag}}}", &body[..body.len() - 1]),
+            line.replacen(member, &format!(r#"{member}"note":[1,{{"a":null}}],"#), 1),
+            line.replacen(key, &escaped, 1),
+            line.replacen(member, &member.repeat(2), 1),
+            line.replacen(member, "", 1),
+        ]
     }
 
     #[test]
@@ -1355,6 +1072,36 @@ mod tests {
             decode_request(&variants[7]),
             Err(WireError::DuplicateKey { .. })
         ));
+        // The same edits to an auction, an `open_stream` and an `arrive`
+        // line, in and below the tagged object.
+        let all = requests();
+        for (req, member) in [
+            (&all[0], r#""epsilon":0.1,"#),
+            (&all[10], r#""sample_target":3,"#),
+            (&all[11], r#""nonce":42,"#),
+        ] {
+            let line = serde_json::to_string(req).expect("serialize");
+            let edits = edits_the_reader_refuses(&line, member);
+            for edit in &edits {
+                assert!(serde::read_document::<Request>(edit).is_none(), "{edit}");
+                assert_eq!(
+                    decode_request(edit),
+                    decode_request_via_tree(edit),
+                    "{edit}"
+                );
+            }
+            for edit in &edits[..3] {
+                assert_eq!(decode_request(edit).as_ref(), Ok(req), "{edit}");
+            }
+            assert!(matches!(
+                decode_request(&edits[3]),
+                Err(WireError::DuplicateKey { .. })
+            ));
+            assert!(matches!(
+                decode_request(&edits[4]),
+                Err(WireError::Shape(_))
+            ));
+        }
     }
 
     /// `{"type":"health", "k0":0, …}` with `keys` extra members, plus
@@ -1394,17 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_names_are_stable() {
-        assert_eq!(Request::Health.endpoint(), "health");
-        assert_eq!(Request::Metrics.endpoint(), "metrics");
-        let inst = instance();
-        assert_eq!(
-            Request::QueryPmf {
-                instance: inst,
-                epsilon: 0.1
-            }
-            .endpoint(),
-            "query_pmf"
-        );
+    fn the_endpoint_is_the_type_tag() {
+        for req in requests() {
+            let line = serde_json::to_string(&req).expect("serialize");
+            let tree: Value = serde_json::from_str(&line).expect("parse");
+            let tag = Value::String(req.endpoint().to_string());
+            assert_eq!(tree.get("type"), Some(&tag), "{line}");
+        }
     }
 }

@@ -29,8 +29,6 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
-
 /// Where a round is in its lifecycle (batch and streaming rounds share
 /// one namespace; a given round only ever walks one of the two columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,19 +66,6 @@ impl RoundPhase {
         }
     }
 
-    /// Parses a wire name back into a phase.
-    pub fn from_name(name: &str) -> Option<RoundPhase> {
-        Some(match name {
-            "open" => RoundPhase::Open,
-            "streaming" => RoundPhase::Streaming,
-            "committed" => RoundPhase::Committed,
-            "settled" => RoundPhase::Settled,
-            "closed" => RoundPhase::Closed,
-            "aborted" => RoundPhase::Aborted,
-            _ => return None,
-        })
-    }
-
     /// Whether the round has reached a terminal phase.
     pub const fn is_terminal(self) -> bool {
         matches!(
@@ -109,22 +94,6 @@ impl RoundPhase {
 impl fmt::Display for RoundPhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl Serialize for RoundPhase {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.str(self.name());
-    }
-}
-
-impl Deserialize for RoundPhase {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::String(s) => RoundPhase::from_name(s)
-                .ok_or_else(|| DeError::custom(format!("unknown round phase {s:?}"))),
-            _ => Err(DeError::expected("round phase name", v)),
-        }
     }
 }
 
@@ -308,18 +277,5 @@ mod tests {
                 actual: RoundPhase::Streaming,
             }
         );
-    }
-
-    #[test]
-    fn names_round_trip_and_serde_uses_them() {
-        for p in ALL {
-            assert_eq!(RoundPhase::from_name(p.name()), Some(p));
-            let json = serde_json::to_string(&p).unwrap();
-            assert_eq!(json, format!("\"{}\"", p.name()));
-            let back: RoundPhase = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, p);
-        }
-        assert_eq!(RoundPhase::from_name("vanished"), None);
-        assert!(serde_json::from_str::<RoundPhase>("\"vanished\"").is_err());
     }
 }

@@ -20,7 +20,7 @@
 //! leaves the main RNG stream byte-for-byte identical to a fault-free run.
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Serialize};
 
 use mcs_agg::{LabelSet, Observation};
 use mcs_num::rng;
@@ -142,8 +142,10 @@ impl FaultPlan {
     }
 }
 
-/// What actually happened to one worker's submission in one phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What actually happened to one worker's submission in one phase,
+/// written as `{"fate": "partial", "dropped": […]}` and the like.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "fate")]
 pub enum WorkerFate {
     /// Full bundle delivered on time, labels as reported.
     Delivered,
@@ -171,64 +173,6 @@ pub enum WorkerFate {
         /// Tasks whose labels were flipped.
         flipped: Vec<TaskId>,
     },
-}
-
-// Hand-written serde (the vendored derive does not support enums):
-// externally tagged as `{"fate": "...", ...payload}`.
-impl Serialize for WorkerFate {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.begin_object();
-        out.key("fate");
-        out.str(match self {
-            WorkerFate::Delivered => "delivered",
-            WorkerFate::NoShow => "no_show",
-            WorkerFate::ShowedButFailed => "showed_but_failed",
-            WorkerFate::Partial { .. } => "partial",
-            WorkerFate::Straggler { .. } => "straggler",
-            WorkerFate::Corrupted { .. } => "corrupted",
-        });
-        match self {
-            WorkerFate::Partial { dropped } => {
-                out.key("dropped");
-                dropped.serialize(out);
-            }
-            WorkerFate::Straggler { delay } => {
-                out.key("delay");
-                delay.serialize(out);
-            }
-            WorkerFate::Corrupted { flipped } => {
-                out.key("flipped");
-                flipped.serialize(out);
-            }
-            WorkerFate::Delivered | WorkerFate::NoShow | WorkerFate::ShowedButFailed => {}
-        }
-        out.end_object();
-    }
-}
-
-impl Deserialize for WorkerFate {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag = String::from_value(
-            v.get("fate")
-                .ok_or_else(|| DeError::missing_field("fate"))?,
-        )?;
-        let field = |name: &'static str| v.get(name).ok_or_else(|| DeError::missing_field(name));
-        match tag.as_str() {
-            "delivered" => Ok(WorkerFate::Delivered),
-            "no_show" => Ok(WorkerFate::NoShow),
-            "showed_but_failed" => Ok(WorkerFate::ShowedButFailed),
-            "partial" => Ok(WorkerFate::Partial {
-                dropped: Vec::<TaskId>::from_value(field("dropped")?)?,
-            }),
-            "straggler" => Ok(WorkerFate::Straggler {
-                delay: u32::from_value(field("delay")?)?,
-            }),
-            "corrupted" => Ok(WorkerFate::Corrupted {
-                flipped: Vec::<TaskId>::from_value(field("flipped")?)?,
-            }),
-            other => Err(DeError::custom(format!("unknown worker fate `{other}`"))),
-        }
-    }
 }
 
 impl WorkerFate {

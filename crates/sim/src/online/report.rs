@@ -2,10 +2,10 @@
 
 use mcs_auction::ReplayStats;
 use mcs_types::{Price, WorkerId};
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Serialize};
 
 /// Which machinery priced the running hindsight benchmark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PricingPath {
     /// `OnlinePricer`'s warm-started winner-sequence replay (PR 5 path).
     #[default]
@@ -16,7 +16,7 @@ pub enum PricingPath {
 }
 
 /// Why an arrival was turned away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RejectReason {
     /// Part of the observation sample; sampled workers are never admitted
     /// (and never paid), which is what keeps the learned threshold
@@ -34,8 +34,11 @@ pub enum RejectReason {
     NotSelected,
 }
 
-/// The admission decision for one arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The admission decision for one arrival, written as
+/// `{"decision": "accepted", "payment": …}` or
+/// `{"decision": "rejected", "reason": …}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "decision")]
 pub enum Decision {
     /// Admitted at the stated payment (posted price for the threshold
     /// mechanism, pay-as-bid for the greedy baseline).
@@ -44,6 +47,7 @@ pub enum Decision {
         payment: Price,
     },
     /// Turned away for the stated reason.
+    #[serde(key = "reason")]
     Rejected(RejectReason),
 }
 
@@ -62,29 +66,9 @@ impl Decision {
     }
 }
 
-// Hand-written serde (the vendored derive does not support enums).
-
-impl Serialize for PricingPath {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.str(match self {
-            PricingPath::Incremental => "incremental",
-            PricingPath::FromScratch => "from_scratch",
-        });
-    }
-}
-
-impl Deserialize for PricingPath {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match String::from_value(v)?.as_str() {
-            "incremental" => Ok(PricingPath::Incremental),
-            "from_scratch" => Ok(PricingPath::FromScratch),
-            other => Err(DeError::custom(format!("unknown pricing path `{other}`"))),
-        }
-    }
-}
-
 impl RejectReason {
-    /// The stable snake_case name reports and stream decisions carry.
+    /// The stable snake_case name reports and stream decisions carry: the
+    /// reason's serde encoding, without the quotes.
     pub fn name(&self) -> &'static str {
         match self {
             RejectReason::SampleObserved => "sample_observed",
@@ -93,68 +77,6 @@ impl RejectReason {
             RejectReason::CoverageMet => "coverage_met",
             RejectReason::NotNeeded => "not_needed",
             RejectReason::NotSelected => "not_selected",
-        }
-    }
-}
-
-impl Serialize for RejectReason {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.str(self.name());
-    }
-}
-
-impl Deserialize for RejectReason {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match String::from_value(v)?.as_str() {
-            "sample_observed" => Ok(RejectReason::SampleObserved),
-            "quote_exceeded" => Ok(RejectReason::QuoteExceeded),
-            "below_density" => Ok(RejectReason::BelowDensity),
-            "coverage_met" => Ok(RejectReason::CoverageMet),
-            "not_needed" => Ok(RejectReason::NotNeeded),
-            "not_selected" => Ok(RejectReason::NotSelected),
-            other => Err(DeError::custom(format!("unknown reject reason `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for Decision {
-    fn serialize<S: Sink + ?Sized>(&self, out: &mut S) {
-        out.begin_object();
-        out.key("decision");
-        match self {
-            Decision::Accepted { payment } => {
-                out.str("accepted");
-                out.key("payment");
-                payment.serialize(out);
-            }
-            Decision::Rejected(reason) => {
-                out.str("rejected");
-                out.key("reason");
-                reason.serialize(out);
-            }
-        }
-        out.end_object();
-    }
-}
-
-impl Deserialize for Decision {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let tag = String::from_value(
-            v.get("decision")
-                .ok_or_else(|| DeError::missing_field("decision"))?,
-        )?;
-        match tag.as_str() {
-            "accepted" => Ok(Decision::Accepted {
-                payment: Price::from_value(
-                    v.get("payment")
-                        .ok_or_else(|| DeError::missing_field("payment"))?,
-                )?,
-            }),
-            "rejected" => Ok(Decision::Rejected(RejectReason::from_value(
-                v.get("reason")
-                    .ok_or_else(|| DeError::missing_field("reason"))?,
-            )?)),
-            other => Err(DeError::custom(format!("unknown decision `{other}`"))),
         }
     }
 }

@@ -5,7 +5,9 @@
 //! line that read does not accept, a recursive-descent JSON parse, a
 //! soundness walk (finiteness, duplicate keys), and typed
 //! deserialization. [`run_fuzz`] drives that path with a seed corpus
-//! plus random byte mutations and asserts two properties:
+//! plus random byte mutations. The corpus holds one written line of every
+//! request and response kind, so the mutations reach every request kind
+//! the one-pass reader takes. The run asserts three properties:
 //!
 //! 1. **No panics** — arbitrary bytes must produce `Ok` or a typed
 //!    `WireError`, never an unwind (or worse, a stack overflow — the
@@ -36,11 +38,16 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use ed25519::{hex_encode, SigningKey};
+use mcs_auction::{AuctionOutcome, DpHsrcAuction};
 use mcs_num::rng;
 use mcs_service::{
     decode_request, decode_request_via_tree, decode_response, encode_frame, recover_from_bytes,
-    scan_bytes, BidEnvelope, Request, RosterEntry, RoundSpec, WalEvent, WAL_HEADER_LEN,
+    scan_bytes, BidEnvelope, CommitReceipt, EndpointMetrics, HealthReport, LatencySummary,
+    MetricsReport, PaymentRecord, PmfSummary, Request, Response, RosterEntry, RoundSpec,
+    RoundStatusView, StreamReceipt, StreamSpec, StreamStatusView, WalEvent, WAL_HEADER_LEN,
 };
+use mcs_sim::faults::FaultPlan;
+use mcs_sim::platform::{run_round_resilient, ResilienceConfig};
 use mcs_sim::Setting;
 use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
 use rand::Rng;
@@ -99,9 +106,10 @@ impl FuzzOutcome {
     }
 }
 
-/// The full starting corpus: compiled seed lines plus runtime-encoded
+/// The full starting corpus: compiled seed lines, runtime-encoded
 /// complex requests (real instances carry the deep nested structure —
-/// bids, skill rows, grids — that hand-written lines cannot cover).
+/// bids, skill rows, grids — that hand-written lines cannot cover) and
+/// one line of every wire variant.
 pub fn builtin_corpus() -> Vec<Vec<u8>> {
     let mut corpus: Vec<Vec<u8>> = SEED_CORPUS
         .iter()
@@ -138,7 +146,195 @@ pub fn builtin_corpus() -> Vec<Vec<u8>> {
         let line = serde_json::to_string(&request).expect("requests always serialize");
         corpus.push(line.into_bytes());
     }
+    corpus.extend(every_variant_lines().into_iter().map(String::into_bytes));
     corpus
+}
+
+/// One written line of every [`Request`] and [`Response`] variant, so
+/// that the differential sees every request kind the one-pass reader takes
+/// and every response kind.
+fn every_variant_lines() -> Vec<String> {
+    let g = Setting::one(80).scaled_down(16).generate(4);
+    let (_, envelope) = signed_bid(3, 1);
+    let plan = FaultPlan::no_show(0.3, 4);
+    let auction = DpHsrcAuction::new(0.5).expect("a valid epsilon");
+    let round = run_round_resilient(
+        &g.instance,
+        &g.types,
+        &auction,
+        &plan,
+        &ResilienceConfig::default(),
+        &mut rng::seeded(4),
+    )
+    .expect("the round runs");
+    let requests = [
+        Request::RunAuction {
+            instance: g.instance.clone(),
+            epsilon: 0.5,
+            seed: 4,
+        },
+        Request::QueryPmf {
+            instance: g.instance.clone(),
+            epsilon: 0.5,
+        },
+        Request::RunResilientRound {
+            instance: g.instance,
+            types: g.types,
+            epsilon: 0.5,
+            plan,
+            config: ResilienceConfig::default(),
+            seed: 4,
+        },
+        Request::Health,
+        Request::Metrics,
+        Request::OpenRound {
+            spec: round_spec(3),
+        },
+        Request::SubmitBid {
+            envelope: envelope.clone(),
+        },
+        Request::CommitRound {
+            round_id: 3,
+            seed: 7,
+        },
+        Request::AbortRound { round_id: 3 },
+        Request::RoundStatus { round_id: 3 },
+        Request::OpenStream {
+            spec: StreamSpec {
+                round: round_spec(3),
+                sample_target: 1,
+                seed: 5,
+            },
+        },
+        Request::Arrive { envelope },
+        Request::CloseStream { round_id: 3 },
+    ];
+    let price = Price::from_f64(4.0);
+    let responses = [
+        Response::Outcome(AuctionOutcome::new(price, vec![WorkerId(0), WorkerId(1)])),
+        Response::Pmf(PmfSummary {
+            prices: vec![price, Price::from_f64(5.0)],
+            probs: vec![0.25, 0.75],
+        }),
+        Response::Round(Box::new(round)),
+        Response::Health(HealthReport {
+            workers: 2,
+            queue_capacity: 64,
+            cache_entries: 1,
+            cache_capacity: 32,
+            draining: false,
+            recovered_rounds: 1,
+            last_synced_lsn: 9,
+            wal_size_bytes: 512,
+        }),
+        Response::Metrics(MetricsReport {
+            endpoints: vec![EndpointMetrics {
+                endpoint: "arrive".to_string(),
+                count: 3,
+                errors: 1,
+                batched: 0,
+                busy: 0,
+                latency: Some(LatencySummary {
+                    p50_us: 90,
+                    p95_us: 200,
+                    p99_us: 250,
+                    max_us: 260,
+                }),
+            }],
+            cache_hits: 2,
+            cache_misses: 1,
+            rejected_busy: 0,
+            wal_frames: 9,
+            wal_fsyncs: 9,
+            envelope_rejections: 1,
+        }),
+        Response::Busy {
+            retry_after_hint_ms: 10,
+        },
+        Response::ShuttingDown,
+        Response::Error {
+            message: "infeasible".to_string(),
+        },
+        Response::Opened {
+            round_id: 3,
+            lsn: 1,
+        },
+        Response::BidAccepted {
+            round_id: 3,
+            lsn: 2,
+        },
+        Response::Committed(Box::new(CommitReceipt {
+            round_id: 3,
+            price,
+            winners: vec![WorkerId(1)],
+            payments: vec![PaymentRecord {
+                worker: WorkerId(1),
+                amount: price,
+            }],
+            lsn: 4,
+            already_committed: false,
+        })),
+        Response::Aborted {
+            round_id: 3,
+            lsn: 5,
+        },
+        Response::RoundStatus(RoundStatusView {
+            round_id: 3,
+            phase: "settled".to_string(),
+            bids_admitted: 2,
+            winners: vec![WorkerId(1)],
+            total_paid: price,
+        }),
+        Response::Rejected {
+            code: "replayed_nonce".to_string(),
+            detail: "nonce 31 already used".to_string(),
+        },
+        Response::StreamOpened {
+            round_id: 3,
+            lsn: 1,
+            sample_target: 1,
+        },
+        Response::ArrivalDecided {
+            round_id: 3,
+            worker: WorkerId(1),
+            accepted: true,
+            payment: price,
+            reason: "accepted".to_string(),
+            posted_price: Some(price),
+            lsn: 3,
+        },
+        Response::StreamClosed(Box::new(StreamReceipt {
+            round_id: 3,
+            arrivals: 2,
+            accepted: vec![WorkerId(1)],
+            posted_price: Some(price),
+            total_paid: price,
+            covered: true,
+            lsn: 4,
+            already_closed: false,
+        })),
+        Response::StreamStatus(StreamStatusView {
+            round_id: 3,
+            phase: "closed".to_string(),
+            arrivals: 2,
+            sample_target: 1,
+            accepted: vec![WorkerId(1)],
+            posted_price: None,
+            total_paid: price,
+            covered: true,
+        }),
+    ];
+    let written = "wire values always serialize";
+    let mut lines: Vec<String> = requests
+        .iter()
+        .map(|r| serde_json::to_string(r).expect(written))
+        .collect();
+    lines.extend(
+        responses
+            .iter()
+            .map(|r| serde_json::to_string(r).expect(written)),
+    );
+    lines
 }
 
 /// Runs the corpus plus `iters` seeded mutations through both decoders.
@@ -234,8 +430,8 @@ fn probe(line: &str) -> Probe {
             Err(_) => return Probe::Unstable,
         }
     }
-    // Responses have no one-pass reader: `decode_response` is the tree
-    // path itself.
+    // `decode_response` takes the tree path alone, so there is no second
+    // decoder to compare it with.
     if let Ok(response) = decode_response(line) {
         any_accepted = true;
         if !writers_agree(&response) {
@@ -353,17 +549,17 @@ impl WalFuzzOutcome {
     }
 }
 
-/// Builds a deterministic valid WAL image: two rounds of signed bids,
-/// one committed-paid-settled, one aborted. This is the live-format twin
-/// of the frozen `wal_valid.bin` (which pins the *historical* layout).
-pub fn build_wal_image() -> Vec<u8> {
-    let key_for = |worker: u32| {
-        let mut seed = [0u8; 32];
-        seed[..4].copy_from_slice(&worker.to_le_bytes());
-        seed[31] = 0xF2;
-        SigningKey::from_seed(seed)
-    };
-    let spec = |round_id: u64| RoundSpec {
+/// The signing key of `worker` in the built-in rounds.
+fn signing_key(worker: u32) -> SigningKey {
+    let mut seed = [0u8; 32];
+    seed[..4].copy_from_slice(&worker.to_le_bytes());
+    seed[31] = 0xF2;
+    SigningKey::from_seed(seed)
+}
+
+/// A two-task round with workers 0 and 1 on its roster.
+fn round_spec(round_id: u64) -> RoundSpec {
+    RoundSpec {
         round_id,
         num_tasks: 2,
         error_bounds: vec![0.8, 0.8],
@@ -376,34 +572,47 @@ pub fn build_wal_image() -> Vec<u8> {
         roster: (0..2)
             .map(|w| RosterEntry {
                 worker: WorkerId(w),
-                public_key: hex_encode(&key_for(w).verifying_key().to_bytes()),
+                public_key: hex_encode(&signing_key(w).verifying_key().to_bytes()),
                 skills: vec![0.9, 0.9],
             })
             .collect(),
-    };
+    }
+}
+
+/// `worker`'s bid on both tasks of a [`round_spec`] round, and its signed
+/// envelope.
+fn signed_bid(round_id: u64, worker: u32) -> (Bid, BidEnvelope) {
+    let bid = Bid::new(
+        Bundle::new(vec![TaskId(0), TaskId(1)]),
+        Price::from_f64(2.0 + f64::from(worker)),
+    );
+    let nonce = round_id * 10 + u64::from(worker);
+    let envelope = BidEnvelope::sign(
+        round_id,
+        WorkerId(worker),
+        bid.clone(),
+        nonce,
+        u64::MAX,
+        &signing_key(worker),
+    );
+    (bid, envelope)
+}
+
+/// Builds a deterministic valid WAL image: two rounds of signed bids,
+/// one committed-paid-settled, one aborted. This is the live-format twin
+/// of the frozen `wal_valid.bin` (which pins the *historical* layout).
+pub fn build_wal_image() -> Vec<u8> {
     let mut events = Vec::new();
     for round_id in [1u64, 2] {
         events.push(WalEvent::RoundOpened {
-            spec: spec(round_id),
+            spec: round_spec(round_id),
         });
         for worker in 0..2u32 {
-            let bid = Bid::new(
-                Bundle::new(vec![TaskId(0), TaskId(1)]),
-                Price::from_f64(2.0 + f64::from(worker)),
-            );
-            let nonce = round_id * 10 + u64::from(worker);
-            let envelope = BidEnvelope::sign(
-                round_id,
-                WorkerId(worker),
-                bid.clone(),
-                nonce,
-                u64::MAX,
-                &key_for(worker),
-            );
+            let (bid, envelope) = signed_bid(round_id, worker);
             events.push(WalEvent::BidAdmitted {
                 round_id,
                 worker: WorkerId(worker),
-                nonce,
+                nonce: envelope.nonce,
                 expires_at_ms: u64::MAX,
                 bid,
                 signature: envelope.signature_bytes().expect("signed envelope"),

@@ -12,8 +12,8 @@ fn decoder_survives_corpus_and_mutations() {
     );
     assert_eq!(
         outcome.executed,
-        500 + 25,
-        "corpus (17 seed + 8 synthesized) + mutations"
+        500 + 56,
+        "corpus (17 seed + 8 synthesized + 31 of every wire variant) + mutations"
     );
     assert!(outcome.accepted > 0, "some inputs must decode");
     assert!(outcome.rejected > 0, "some inputs must reject");
