@@ -35,7 +35,9 @@
 
 use mcs_types::{Instance, McsError, WorkerId};
 
-use crate::schedule::{build_dispatch, build_residual_dispatch, PriceSchedule, SelectionRule};
+use crate::schedule::{
+    build_dispatch, build_residual_dispatch, BuildStats, PriceSchedule, SelectionRule,
+};
 
 /// Which engine evaluates the per-interval winner sets.
 ///
@@ -45,7 +47,7 @@ use crate::schedule::{build_dispatch, build_residual_dispatch, PriceSchedule, Se
 /// | Strategy | Engine | Cost profile |
 /// |----------|--------|--------------|
 /// | [`Auto`] | [`Indexed`] from [`Strategy::INDEXED_FROM_WORKERS`] candidates up, [`Incremental`] below | the faster engine at every point `schedule_scaling` records |
-/// | [`Incremental`] | ascending price sweep replaying the previous interval's winners against the newcomers | one replay per interval while the winner set holds; cheapest on Table I sizes |
+/// | [`Incremental`] | ascending price sweep: replays the newcomers against the incumbent winners' selection gains, resumes the greedy at a diverging step, finishes expensive steps with a dense scan | a few newcomer evaluations per interval while the winner set holds; cheapest on Table I sizes |
 /// | [`Indexed`] | every interval's greedy in lockstep over one walk of a global gain-rank order | per-interval cost nearly independent of `N`; cheapest from `N ≈ 10⁴` up |
 ///
 /// Under [`SelectionRule::StaticTotal`] every strategy takes the same
@@ -74,9 +76,10 @@ impl Strategy {
 
     /// The candidate-pool size from which [`Strategy::Auto`] takes the
     /// indexed engine. Below it the incremental sweep is faster on every
-    /// Table I shape (≈3.4 against ≈7.8 ms at Setting I, N = 560); from it
-    /// up the indexed engine is (≈12 against ≈26 ms at N = 10 000; both
-    /// on 2 vCPUs, DESIGN.md §5f).
+    /// Table I shape (≈1.1–1.5 against ≈6.7–10 ms at Setting I, N = 560,
+    /// and ≈15–21 against ≈119–156 ms at Setting III, N = 1 400); from it
+    /// up the indexed engine is (≈11–15 against ≈24–31 ms at N = 10 000
+    /// on the many-workers shape; all on 2 vCPUs, DESIGN.md §5f).
     pub const INDEXED_FROM_WORKERS: usize = 10_000;
 
     /// Stable lowercase name (reports, bench columns).
@@ -147,7 +150,27 @@ impl ScheduleEngine {
     /// * [`McsError::NoFeasiblePrice`] — coverage is possible but only
     ///   above the top of the price grid.
     pub fn build(&self, instance: &Instance) -> Result<PriceSchedule, McsError> {
-        build_dispatch(instance, self.rule, self.strategy)
+        build_dispatch(
+            instance,
+            self.rule,
+            self.strategy,
+            &mut BuildStats::default(),
+        )
+    }
+
+    /// [`ScheduleEngine::build`] with the counters of the build: the same
+    /// path, which counts as it goes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScheduleEngine::build`].
+    pub fn build_with_stats(
+        &self,
+        instance: &Instance,
+    ) -> Result<(PriceSchedule, BuildStats), McsError> {
+        let mut stats = BuildStats::default();
+        let schedule = build_dispatch(instance, self.rule, self.strategy, &mut stats)?;
+        Ok((schedule, stats))
     }
 
     /// Builds the schedule for a *residual* covering problem: only

@@ -114,5 +114,5 @@ pub use mechanism::{Mechanism, ScheduledMechanism};
 pub use optimal::{OptimalMechanism, OptimalOutcome, PerPriceSolve};
 pub use outcome::AuctionOutcome;
 pub use replay::{OnlinePricer, Quote, ReplayStats};
-pub use schedule::{reference_schedule, PricePmf, PriceSchedule, SelectionRule};
+pub use schedule::{reference_schedule, BuildStats, PricePmf, PriceSchedule, SelectionRule};
 pub use xor::{Award, XorBid, XorDpHsrcAuction, XorInstance, XorOutcome};

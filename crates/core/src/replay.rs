@@ -18,7 +18,8 @@
 //!   newcomer (rank-aware, so exact ties resolve exactly as the engine's
 //!   CELF heap would), the sequence is confirmed unchanged.
 //! * Only when the replay diverges — or the quote itself drops — does the
-//!   greedy rerun, warm-seeded from cached initial gains.
+//!   greedy rerun, warm-seeded from cached initial gains, through the
+//!   engines' one lazy greedy (the sweep's CELF heap and dense finish).
 //!
 //! The maintained quote is **bit-identical** to
 //! `ScheduleEngine::build_residual(instance, requirements, pool)`'s first

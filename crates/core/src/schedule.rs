@@ -9,6 +9,7 @@
 //! makes the sparse and dense paths observationally identical.
 
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 use mcs_num::{sample_logits, softmax_from_logits};
 use mcs_types::{CoverageView, Instance, McsError, Price, SparseCoverage, TaskId, WorkerId};
@@ -101,7 +102,8 @@ impl PriceSchedule {
         AuctionOutcome::new(self.price(idx), self.winners(idx).to_vec())
     }
 
-    /// The number of *distinct* winner sets stored.
+    /// The number of *distinct* winner sets: each run of consecutive
+    /// intervals with the same winners is stored once.
     #[inline]
     pub fn num_distinct_sets(&self) -> usize {
         self.sets.len()
@@ -120,6 +122,44 @@ impl PriceSchedule {
     }
 }
 
+/// Counters of one schedule build, from
+/// [`ScheduleEngine::build_with_stats`](crate::ScheduleEngine::build_with_stats):
+/// how the incremental sweep (`Strategy::Incremental`) absorbed each
+/// bidding-price interval. The indexed engine and the static rule fill in
+/// `intervals` only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BuildStats {
+    /// Bidding-price intervals the build selected winner sets for.
+    pub intervals: u64,
+    /// Intervals whose replay confirmed the previous interval's winners.
+    pub confirmed: u64,
+    /// Intervals whose replay diverged and resumed the greedy at the
+    /// diverging step. With the first interval's selection from scratch,
+    /// `intervals = 1 + confirmed + resumed`.
+    pub resumed: u64,
+    /// The steps those selections resumed at, summed (see
+    /// [`BuildStats::mean_resume_step`]).
+    pub resume_steps: u64,
+    /// Newcomer gains the replays evaluated.
+    pub replay_evaluations: u64,
+    /// Stale bounds the lazy heap re-evaluated.
+    pub reevaluations: u64,
+    /// Greedy steps the exact dense scan selected.
+    pub dense_steps: u64,
+}
+
+impl BuildStats {
+    /// The mean step at which diverging intervals resumed the greedy
+    /// (`0.0` when none diverged).
+    pub fn mean_resume_step(&self) -> f64 {
+        if self.resumed == 0 {
+            0.0
+        } else {
+            self.resume_steps as f64 / self.resumed as f64
+        }
+    }
+}
+
 /// Worker order used throughout Algorithm 1: ascending bidding price, ties
 /// by worker id.
 pub(crate) fn workers_by_price(instance: &Instance) -> Vec<WorkerId> {
@@ -130,16 +170,22 @@ pub(crate) fn workers_by_price(instance: &Instance) -> Vec<WorkerId> {
     ids
 }
 
-/// A cached marginal-coverage bound for one candidate, ordered so that a
-/// [`std::collections::BinaryHeap`] pops the candidate the eager rescan
-/// would pick: largest gain first, ties on the *earliest* candidate index
-/// (the cheapest bidder, then smallest worker id).
+/// A lazy-heap entry: one candidate's last computed marginal coverage and
+/// the greedy step whose residual it was computed against. Ordered so
+/// that a [`std::collections::BinaryHeap`] pops the candidate the eager
+/// rescan would pick: largest gain first, ties on the *earliest*
+/// candidate index (the cheapest bidder, then smallest worker id). The
+/// stamp takes no part in the order.
 #[derive(Debug, Clone, Copy)]
 struct LazyGain {
-    /// Last-computed marginal coverage — an upper bound on the current one.
+    /// Marginal coverage against the residual of step `stamp` — an upper
+    /// bound on the candidate's gain at every later step.
     gain: f64,
     /// Index into the candidate slice.
-    ci: usize,
+    ci: u32,
+    /// The step whose residual `gain` was computed against; the bound is
+    /// exact while the selection is still at that step.
+    stamp: u32,
 }
 
 impl PartialEq for LazyGain {
@@ -220,21 +266,442 @@ pub(crate) fn apply_winner(
     }
 }
 
-/// Greedy winner selection among `candidates` (Algorithm 1, lines 8–13),
-/// evaluated lazily (CELF) from precomputed initial gains and returning
-/// winners in *selection order* (unsorted).
+/// Largest `N·K / nnz` at which a selection copies its candidates' rows
+/// into the dense task-major matrix its dense finish scans, so the copy
+/// stays within this many times the CSR's own entry count (O(nnz) memory).
+/// Every Table I setting sits at 2–5 (Setting I N = 560: 16 800 cells for
+/// 8 387 entries), as does `many_workers_sized(2000)` at ≈ 6.7; the
+/// large-sparse shape sits at ≈ 10 (N = 26, K = 500–10 000 with bundles
+/// of 2–3), where a pass over the unsaturated tasks costs more than the
+/// lazy work it would replace.
+const DENSE_MAX_FILL: usize = 8;
+
+/// Dense-scan cells one lazily re-evaluated row entry counts for in the
+/// dense-finish cost test: a re-evaluation reads its row's residuals at
+/// random and sifts the heap, a dense cell is one vector min-and-add. On
+/// 2 vCPUs (median of four interleaved rounds; 2 / 4 / 8 / 16 / 32):
+/// the `miss` shape (Setting I N = 560, 64 instances) built in 2.22 /
+/// 1.70 / 1.60 / 1.50 / 1.52 ms, Setting II K = 50 in 0.47 / 0.45 / 0.52
+/// / 0.61 / 0.68 ms and Setting IV K = 300 in 34 / 33 / 38 / 41 / 43 ms.
+/// 8 keeps the `miss` shape within noise of the fastest weight and
+/// Setting II below the parent engine's ≈ 0.6 ms.
+const LAZY_ENTRY_COST: usize = 8;
+
+/// Candidates per register block of the dense scan: sixteen accumulators
+/// stay in eight SSE2 registers while the scan streams one task column
+/// after another. On the `miss` shape blocks of 16 spent ≈ 20 % less time
+/// in dense steps than blocks of 8 or 32, and ≈ 25 % less than an
+/// unblocked pass over the prefix per task.
+const DENSE_BLOCK: usize = 16;
+
+/// The dense task-major copy of the candidates' coverage rows, made on
+/// the first dense finish that needs it.
+enum DenseRows {
+    /// Not needed yet.
+    Unbuilt,
+    /// `q[j * n + ci]` is candidate `ci`'s coverage of task `j` (zero
+    /// outside its bundle), `n` the number of candidates.
+    Built(Vec<f64>),
+    /// The matrix would break the [`DENSE_MAX_FILL`] memory bound, or a
+    /// row lists a task twice (no single cell could hold both terms).
+    Refused,
+}
+
+/// The lazy greedy behind every marginal-coverage selection outside the
+/// indexed engine (Algorithm 1, lines 8–13): [`celf_sequence`], the
+/// incremental price sweep, and through them the online pricer and the
+/// stage-sampling learner.
 ///
-/// Each candidate's last-computed marginal coverage is kept in a max-heap
-/// and only the top entry is re-evaluated. Because the residual
-/// requirements only shrink, coverage gains are submodular — a stale
-/// cached gain is always an *upper bound* — so the popped candidate can be
-/// accepted as soon as its fresh gain still beats the next cached bound.
-/// Picks the exact winner sequence of the eager rescan
-/// ([`select_marginal_eager`]), tie-breaking included.
+/// Candidates are a price-ordered slice (ties by worker id) — the order
+/// that breaks exact gain ties — and every selection runs over a prefix
+/// of it. Each step picks the candidate of largest fresh marginal
+/// coverage, ties to the smaller candidate index, dust (`≤ COVER_EPS`)
+/// never picked: the exact sequence of the eager rescan
+/// ([`select_marginal_eager`]). Two ways of finding that argmax share the
+/// residual state:
 ///
-/// Initial gains against the full requirement vector do not depend on the
-/// candidate prefix, which is what lets the ascending price sweep compute
-/// them once and warm-start this loop for every interval that diverges.
+/// * **Lazy (CELF).** A max-heap holds every live candidate's last
+///   computed gain, stamped with the step it was computed at. Residuals
+///   only shrink, so a gain never rises and every entry bounds its
+///   candidate's current gain from above; an entry stamped with the
+///   current step is exact, and an exact entry on top of the heap is the
+///   argmax. A stale top is re-evaluated and re-stamped in place.
+/// * **Dense finish.** Once a step's lazy re-evaluations have cost more
+///   than one pass over the unsaturated tasks (re-evaluations × mean row
+///   length × [`LAZY_ENTRY_COST`] against unsaturated tasks × prefix),
+///   the selection computes every candidate's gain in one task-major
+///   scan per step until it closes. The scan adds, per candidate, the
+///   same terms in the same ascending task order as [`marginal_gain`];
+///   the terms it adds for tasks outside a bundle and skips for
+///   saturated tasks are exact `+0.0`, so every gain keeps its bits.
+///
+/// Between intervals of the price sweep, [`Greedy::advance`] replays the
+/// incumbent sequence against the newcomers and, on divergence, resumes
+/// at the diverging step instead of restarting.
+struct Greedy<'a> {
+    cover: &'a SparseCoverage,
+    candidates: &'a [WorkerId],
+    /// Each candidate's gain against the full requirements: exact at step
+    /// 0 and a valid bound at every later step.
+    init: &'a [f64],
+    requirements: &'a [f64],
+    /// `requirements.iter().sum()`, the starting outstanding coverage.
+    total: f64,
+    /// Stored coverage entries over all candidates.
+    nnz: usize,
+    /// Candidate-prefix length the current sequence was selected over.
+    prefix: usize,
+    /// Winners in selection order, as candidate indices.
+    sequence: Vec<u32>,
+    /// `gains[t]`: the marginal coverage `sequence[t]` was selected with.
+    gains: Vec<f64>,
+    /// `used[ci]`: candidate `ci` is in `sequence`.
+    used: Vec<bool>,
+    /// The residual requirement vector after the last accepted winner.
+    residual: Vec<f64>,
+    /// `total` minus everything the accepted winners took.
+    remaining: f64,
+    /// Tasks whose residual is still positive.
+    unsat: usize,
+    /// The replay's residual, walked forward from the requirements.
+    walk: Vec<f64>,
+    heap: std::collections::BinaryHeap<LazyGain>,
+    dense: DenseRows,
+}
+
+impl<'a> Greedy<'a> {
+    /// A selection state over `candidates` with no winner yet. `init`
+    /// must hold each candidate's [`marginal_gain`] against
+    /// `requirements`.
+    fn new(
+        cover: &'a SparseCoverage,
+        candidates: &'a [WorkerId],
+        init: &'a [f64],
+        requirements: &'a [f64],
+    ) -> Self {
+        debug_assert_eq!(candidates.len(), init.len());
+        Greedy {
+            cover,
+            candidates,
+            init,
+            requirements,
+            total: requirements.iter().sum(),
+            nnz: candidates.iter().map(|w| cover.row_len(w.index())).sum(),
+            prefix: 0,
+            sequence: Vec::new(),
+            gains: Vec::new(),
+            used: vec![false; candidates.len()],
+            residual: requirements.to_vec(),
+            remaining: 0.0,
+            unsat: 0,
+            walk: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
+            dense: DenseRows::Unbuilt,
+        }
+    }
+
+    /// Winners in selection order.
+    fn sequence(&self) -> Vec<WorkerId> {
+        self.sequence
+            .iter()
+            .map(|&ci| self.candidates[ci as usize])
+            .collect()
+    }
+
+    /// Winners sorted by worker id.
+    fn winners_sorted(&self) -> Vec<WorkerId> {
+        let mut winners = self.sequence();
+        winners.sort_unstable();
+        winners
+    }
+
+    /// Appends candidate `ci`, selected with marginal coverage `gain`, and
+    /// applies it to the residual: [`apply_winner`]'s updates in its
+    /// order, counting the tasks it saturates.
+    fn accept(&mut self, ci: u32, gain: f64) {
+        self.sequence.push(ci);
+        self.gains.push(gain);
+        self.used[ci as usize] = true;
+        let w = self.candidates[ci as usize];
+        for (j, q) in self.cover.row(w.index()) {
+            let r = self.residual[j];
+            let take = q.min(r.max(0.0));
+            self.residual[j] = r - take;
+            self.remaining -= take;
+            self.unsat -= usize::from((r > 0.0) & (r - take <= 0.0));
+        }
+    }
+
+    /// Drops the winners from step `t` on.
+    fn truncate(&mut self, t: usize) {
+        for &ci in &self.sequence[t..] {
+            self.used[ci as usize] = false;
+        }
+        self.sequence.truncate(t);
+        self.gains.truncate(t);
+    }
+
+    /// Selects over `candidates[..prefix]` from scratch.
+    fn select_from_scratch(
+        &mut self,
+        prefix: usize,
+        stats: &mut BuildStats,
+    ) -> Result<(), McsError> {
+        self.prefix = prefix;
+        self.truncate(0);
+        self.residual.copy_from_slice(self.requirements);
+        self.remaining = self.total;
+        self.unsat = self.residual.iter().filter(|&&r| r > 0.0).count();
+        self.seed_heap(prefix, &[], None);
+        self.select(stats)
+    }
+
+    /// Fills the heap for a selection resuming at the current step over
+    /// `candidates[..self.prefix]`: every unused candidate under its
+    /// initial gain (stamp 0), except the candidates from `from` on,
+    /// which take their bounds from `fresh` (`(gain, stamp)` by offset),
+    /// and `exact`, a `(ci, gain)` known exact at the current step.
+    fn seed_heap(&mut self, from: usize, fresh: &[(f64, u32)], exact: Option<(u32, f64)>) {
+        let step = self.sequence.len() as u32;
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
+        for ci in 0..self.prefix {
+            if self.used[ci] {
+                continue;
+            }
+            let (gain, stamp) = match exact {
+                Some((e, g)) if e as usize == ci => (g, step),
+                _ if ci >= from => fresh[ci - from],
+                _ => (self.init[ci], 0),
+            };
+            if gain > COVER_EPS {
+                entries.push(LazyGain {
+                    gain,
+                    ci: ci as u32,
+                    stamp,
+                });
+            }
+        }
+        self.heap = std::collections::BinaryHeap::from(entries);
+    }
+
+    /// Runs the greedy from the current step over
+    /// `candidates[..self.prefix]` until the requirements close; the heap
+    /// must bound every unused live candidate of the prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`McsError::CoverageShortfall`] if the prefix cannot close them.
+    fn select(&mut self, stats: &mut BuildStats) -> Result<(), McsError> {
+        let dense_cells = self.prefix * self.candidates.len();
+        let mut step = self.sequence.len() as u32;
+        let mut evaluations = 0usize;
+        while self.remaining > COVER_EPS {
+            let Some(mut top) = self.heap.peek_mut() else {
+                return Err(coverage_shortfall(&self.residual, self.requirements));
+            };
+            if top.stamp == step {
+                // Exact and on top: every other entry bounds its
+                // candidate's gain from above, and on equal gains the
+                // order already put the earlier candidate first.
+                let LazyGain { ci, gain, .. } = std::collections::binary_heap::PeekMut::pop(top);
+                self.accept(ci, gain);
+                step += 1;
+                evaluations = 0;
+                continue;
+            }
+            let fresh = marginal_gain(self.cover, self.candidates[top.ci as usize], &self.residual);
+            if fresh <= COVER_EPS {
+                // Gains never grow back: dust for the rest of the run.
+                std::collections::binary_heap::PeekMut::pop(top);
+            } else {
+                top.gain = fresh;
+                top.stamp = step;
+                // Dropping the guard sifts the refreshed entry down.
+                drop(top);
+            }
+            stats.reevaluations += 1;
+            evaluations += 1;
+            // This step's `evaluations × nnz / n` row entries against one
+            // pass over the unsaturated tasks of the prefix.
+            if evaluations * self.nnz * LAZY_ENTRY_COST > self.unsat * dense_cells
+                && self.dense_rows()
+            {
+                return self.dense_finish(stats);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the dense task-major copy exists, making it if the
+    /// [`DENSE_MAX_FILL`] bound allows.
+    fn dense_rows(&mut self) -> bool {
+        if let DenseRows::Unbuilt = self.dense {
+            let n = self.candidates.len();
+            let k = self.residual.len();
+            self.dense = DenseRows::Refused;
+            if n * k > DENSE_MAX_FILL * self.nnz {
+                return false;
+            }
+            let mut q = vec![0.0f64; n * k];
+            for (ci, &w) in self.candidates.iter().enumerate() {
+                let mut last = None;
+                for (j, qj) in self.cover.row(w.index()) {
+                    if last.is_some_and(|l| l >= j) {
+                        return false;
+                    }
+                    last = Some(j);
+                    q[j * n + ci] = qj;
+                }
+            }
+            self.dense = DenseRows::Built(q);
+        }
+        matches!(self.dense, DenseRows::Built(_))
+    }
+
+    /// Finishes the selection with one exact task-major scan per step.
+    fn dense_finish(&mut self, stats: &mut BuildStats) -> Result<(), McsError> {
+        let DenseRows::Built(q) = std::mem::replace(&mut self.dense, DenseRows::Unbuilt) else {
+            unreachable!("dense_finish runs only once the rows are built");
+        };
+        self.heap.clear();
+        let n = self.candidates.len();
+        let prefix = self.prefix;
+        let mut result = Ok(());
+        let mut open: Vec<(usize, f64)> = Vec::new();
+        while self.remaining > COVER_EPS {
+            // A saturated task's term is an exact zero for everyone.
+            open.clear();
+            open.extend(
+                self.residual
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &r)| r > 0.0)
+                    .map(|(j, &r)| (j, r)),
+            );
+            let mut best: Option<(usize, f64)> = None;
+            for c0 in (0..prefix).step_by(DENSE_BLOCK) {
+                let width = DENSE_BLOCK.min(prefix - c0);
+                let mut acc = [0.0f64; DENSE_BLOCK];
+                for &(j, r) in &open {
+                    // `qj.min(r)` for finite operands, in the form that
+                    // compiles to one vector `min`.
+                    if let Ok(column) = <&[f64; DENSE_BLOCK]>::try_from(&q[j * n + c0..][..width]) {
+                        for (g, &qj) in acc.iter_mut().zip(column) {
+                            *g += if qj < r { qj } else { r };
+                        }
+                    } else {
+                        for (g, &qj) in acc.iter_mut().zip(&q[j * n + c0..][..width]) {
+                            *g += if qj < r { qj } else { r };
+                        }
+                    }
+                }
+                for (b, &g) in acc[..width].iter().enumerate() {
+                    // Strict `>`: ties stay on the earliest candidate.
+                    if g > COVER_EPS && !self.used[c0 + b] && best.is_none_or(|(_, top)| g > top) {
+                        best = Some((c0 + b, g));
+                    }
+                }
+            }
+            let Some((ci, gain)) = best else {
+                result = Err(coverage_shortfall(&self.residual, self.requirements));
+                break;
+            };
+            self.accept(ci as u32, gain);
+            stats.dense_steps += 1;
+        }
+        self.dense = DenseRows::Built(q);
+        result
+    }
+
+    /// Moves the selection to the longer prefix `candidates[..prefix]`;
+    /// `true` when the winner sequence stands unchanged.
+    ///
+    /// The newcomers `candidates[self.prefix..prefix]` all sort after the
+    /// incumbents, so they lose exact ties, and the incumbent `sequence[t]`
+    /// was the argmax over the old prefix at the residual of step `t`. The
+    /// sequence therefore stands over the new prefix unless some newcomer's
+    /// gain at some step *strictly* exceeds `gains[t]`. The replay walks
+    /// the sequence once, applying it to a fresh residual, and compares
+    /// only the newcomers against the cached `gains[t]`: neither a
+    /// newcomer's gain nor the selection gains ever rise, so a newcomer is
+    /// evaluated at step `t` only while its last computed gain (initially
+    /// its initial gain) is above `gains[t]`, and the walk stops once no
+    /// newcomer's is above the last selection gain.
+    ///
+    /// At the first step `t` where a newcomer wins, the first `t` winners
+    /// stand — every step before agreed — and the greedy resumes at `t`
+    /// from the residual the walk holds, with the newcomers' replayed gains
+    /// and the displaced incumbent's exact `gains[t]` in its heap.
+    fn advance(&mut self, prefix: usize, stats: &mut BuildStats) -> Result<bool, McsError> {
+        let from = self.prefix;
+        debug_assert!(prefix > from);
+        self.prefix = prefix;
+        let Some(&floor) = self.gains.last() else {
+            self.select_from_scratch(prefix, stats)?;
+            return Ok(false);
+        };
+        let mut fresh: Vec<(f64, u32)> = self.init[from..prefix].iter().map(|&g| (g, 0)).collect();
+        let mut live: Vec<usize> = (0..fresh.len()).filter(|&i| fresh[i].0 > floor).collect();
+        if live.is_empty() {
+            stats.confirmed += 1;
+            return Ok(true);
+        }
+        self.walk.clear();
+        self.walk.extend_from_slice(self.requirements);
+        let mut remaining = self.total;
+        let mut diverged = None;
+        'walk: for t in 0..self.sequence.len() {
+            let incumbent = self.gains[t];
+            for &i in &live {
+                if fresh[i].0 > incumbent {
+                    let gain = marginal_gain(self.cover, self.candidates[from + i], &self.walk);
+                    stats.replay_evaluations += 1;
+                    fresh[i] = (gain, t as u32);
+                    if gain > incumbent {
+                        diverged = Some(t);
+                        break 'walk;
+                    }
+                }
+            }
+            live.retain(|&i| fresh[i].0 > floor);
+            if live.is_empty() {
+                break;
+            }
+            // `apply_winner`'s updates, so the walked residual and total
+            // keep the bits of the selection's own.
+            let w = self.candidates[self.sequence[t] as usize];
+            for (j, q) in self.cover.row(w.index()) {
+                let take = q.min(self.walk[j].max(0.0));
+                self.walk[j] -= take;
+                remaining -= take;
+            }
+        }
+        let Some(t) = diverged else {
+            stats.confirmed += 1;
+            return Ok(true);
+        };
+        stats.resumed += 1;
+        stats.resume_steps += t as u64;
+        let displaced = (self.sequence[t], self.gains[t]);
+        self.truncate(t);
+        std::mem::swap(&mut self.residual, &mut self.walk);
+        self.remaining = remaining;
+        self.unsat = self.residual.iter().filter(|&&r| r > 0.0).count();
+        self.seed_heap(from, &fresh, Some(displaced));
+        self.select(stats)?;
+        Ok(false)
+    }
+}
+
+/// Greedy winner selection among `candidates` (Algorithm 1, lines 8–13)
+/// from precomputed initial gains, returning winners in *selection order*
+/// (unsorted): the exact sequence of the eager rescan
+/// ([`select_marginal_eager`]), tie-breaking included, found by the
+/// [`Greedy`] lazy heap and dense finish.
+///
+/// `init[ci]` must be candidate `ci`'s [`marginal_gain`] against
+/// `requirements`.
 ///
 /// # Errors
 ///
@@ -246,46 +713,9 @@ pub(crate) fn celf_sequence(
     init: &[f64],
     requirements: &[f64],
 ) -> Result<Vec<WorkerId>, McsError> {
-    let mut residual = requirements.to_vec();
-    let mut remaining: f64 = residual.iter().sum();
-    let mut sequence = Vec::new();
-
-    let mut heap: std::collections::BinaryHeap<LazyGain> = init
-        .iter()
-        .enumerate()
-        .map(|(ci, &gain)| LazyGain { gain, ci })
-        .filter(|e| e.gain > COVER_EPS)
-        .collect();
-
-    while remaining > COVER_EPS {
-        let Some(top) = heap.pop() else {
-            return Err(coverage_shortfall(&residual, requirements));
-        };
-        let w = candidates[top.ci];
-        let fresh = marginal_gain(cover, w, &residual);
-        if fresh <= COVER_EPS {
-            // The candidate's remaining contribution evaporated; gains
-            // never grow, so she can be dropped for good.
-            continue;
-        }
-        let current = LazyGain {
-            gain: fresh,
-            ci: top.ci,
-        };
-        // Every other cached entry is an upper bound on its true gain, so
-        // `current` winning against the best cached bound means it would
-        // win the eager rescan too (on ties the smaller candidate index
-        // prevails, exactly like the eager strict `>`).
-        if let Some(&next) = heap.peek() {
-            if current < next {
-                heap.push(current);
-                continue;
-            }
-        }
-        sequence.push(w);
-        apply_winner(cover, w, &mut residual, &mut remaining);
-    }
-    Ok(sequence)
+    let mut greedy = Greedy::new(cover, candidates, init, requirements);
+    greedy.select_from_scratch(candidates.len(), &mut BuildStats::default())?;
+    Ok(greedy.sequence())
 }
 
 /// The reference marginal-coverage selector behind
@@ -365,75 +795,36 @@ fn select_static(
     Ok(winners)
 }
 
-/// Replays the previous interval's winner sequence against a grown
-/// candidate prefix and reports whether it survives unchanged.
-///
-/// The ascending sweep's key property: moving to a higher price interval
-/// only *appends* candidates (`sorted[prev_prefix..new_prefix]`). Each
-/// incumbent in `sequence` was the greedy argmax over the old prefix at a
-/// residual this replay reproduces bit-for-bit, and every newcomer has a
-/// larger candidate index than every incumbent, so newcomers lose exact
-/// ties. The greedy run over the new prefix therefore picks the identical
-/// sequence **iff** no newcomer's fresh gain *strictly* exceeds the
-/// incumbent's at some step — which is exactly what this checks.
-fn replay_confirms(
-    cover: &SparseCoverage,
-    requirements: &[f64],
-    newcomers: &[WorkerId],
-    sequence: &[WorkerId],
-) -> bool {
-    let mut residual = requirements.to_vec();
-    for &w in sequence {
-        let incumbent = marginal_gain(cover, w, &residual);
-        for &nw in newcomers {
-            if marginal_gain(cover, nw, &residual) > incumbent {
-                return false;
-            }
-        }
-        for (j, q) in cover.row(w.index()) {
-            residual[j] -= q.min(residual[j].max(0.0));
-        }
-    }
-    true
-}
-
 /// The ascending incremental price sweep behind `Strategy::Incremental`:
 /// marginal-coverage winner sets for a strictly increasing sequence of
-/// candidate prefixes, sharing state across adjacent intervals instead of
-/// selecting each one from scratch.
+/// candidate prefixes, carrying one [`Greedy`] selection across adjacent
+/// intervals instead of selecting each one from scratch.
 ///
-/// The sweep computes every candidate's initial gain (prefix-independent —
-/// the residual starts at the full requirements) exactly once, then walks
-/// intervals in ascending price order. Each interval first tries
-/// [`replay_confirms`]: when the newcomers never strictly beat an
-/// incumbent, the previous winner set is reused outright; otherwise the
-/// CELF loop restarts warm-seeded from the cached initial gains. In the
+/// Every candidate's initial gain (prefix-independent — the residual
+/// starts at the full requirements) is computed once. The first interval
+/// selects from scratch; each later one replays the incumbent sequence
+/// against its newcomers and reuses the winner set when it stands, or
+/// resumes the greedy at the diverging step ([`Greedy::advance`]). In the
 /// common case — higher prices admitting expensive workers greedy never
-/// picks — an interval costs one replay (`O(|S| · nnz_newcomers)`)
-/// instead of a full selection.
+/// picks — an interval costs part of one walk over the winners' rows.
 fn incremental_sweep(
     cover: &SparseCoverage,
     requirements: &[f64],
     sorted: &[WorkerId],
     prefixes: &[usize],
+    stats: &mut BuildStats,
 ) -> Result<Vec<Vec<WorkerId>>, McsError> {
     let init: Vec<f64> = sorted
         .iter()
         .map(|&w| marginal_gain(cover, w, requirements))
         .collect();
-    let mut out = Vec::with_capacity(prefixes.len());
-    let mut prev_prefix = 0usize;
-    let mut sequence: Vec<WorkerId> = Vec::new();
+    let mut greedy = Greedy::new(cover, sorted, &init, requirements);
+    let mut out: Vec<Vec<WorkerId>> = Vec::with_capacity(prefixes.len());
     for &prefix in prefixes {
-        let newcomers = &sorted[prev_prefix..prefix];
-        let unchanged =
-            prev_prefix > 0 && replay_confirms(cover, requirements, newcomers, &sequence);
-        if !unchanged {
-            sequence = celf_sequence(&sorted[..prefix], cover, &init[..prefix], requirements)?;
-        }
-        prev_prefix = prefix;
-        let mut winners = sequence.clone();
-        winners.sort_unstable();
+        let winners = match (greedy.advance(prefix, stats)?, out.last()) {
+            (true, Some(previous)) => previous.clone(),
+            _ => greedy.winners_sorted(),
+        };
         out.push(winners);
     }
     Ok(out)
@@ -1036,12 +1427,13 @@ pub(crate) fn build_dispatch(
     instance: &Instance,
     rule: SelectionRule,
     strategy: Strategy,
+    stats: &mut BuildStats,
 ) -> Result<PriceSchedule, McsError> {
     let cover = instance.sparse_coverage();
     cover.check_feasible()?;
     let requirements = cover.requirements().to_vec();
     let all = workers_by_price(instance);
-    schedule_over(instance, rule, strategy, &cover, &requirements, &all)
+    schedule_over(instance, rule, strategy, &cover, &requirements, &all, stats)
 }
 
 /// The residual entry point behind [`crate::ScheduleEngine::build_residual`]:
@@ -1094,13 +1486,22 @@ pub(crate) fn build_residual_dispatch(
     let mut sorted = eligible.to_vec();
     sorted.sort_by_key(|&w| (instance.bids().bid(w).price(), w));
     sorted.dedup();
-    schedule_over(instance, rule, strategy, &cover, requirements, &sorted)
+    schedule_over(
+        instance,
+        rule,
+        strategy,
+        &cover,
+        requirements,
+        &sorted,
+        &mut BuildStats::default(),
+    )
 }
 
 /// The shared schedule engine: Algorithm 1 over an arbitrary (possibly
 /// residual) requirement vector and a price-sorted candidate pool, against
 /// a prebuilt CSR covering problem. [`Strategy::Auto`] resolves here, on
-/// the size of that pool.
+/// the size of that pool. Equal winner sets of consecutive intervals are
+/// stored once.
 fn schedule_over(
     instance: &Instance,
     rule: SelectionRule,
@@ -1108,6 +1509,7 @@ fn schedule_over(
     cover: &SparseCoverage,
     raw_requirements: &[f64],
     sorted: &[WorkerId],
+    stats: &mut BuildStats,
 ) -> Result<PriceSchedule, McsError> {
     let n = sorted.len();
     let k = cover.num_tasks();
@@ -1203,20 +1605,28 @@ fn schedule_over(
     }
 
     let prefixes: Vec<usize> = intervals.iter().map(|iv| iv.prefix).collect();
+    stats.intervals = prefixes.len() as u64;
     let winner_sets = match (rule, strategy.resolve(n)) {
         (SelectionRule::StaticTotal, _) => static_sweep(cover, &requirements, sorted, &prefixes)?,
         (SelectionRule::MarginalCoverage, Strategy::Indexed) => {
             indexed_sweep(cover, &requirements, sorted, &prefixes)?
         }
         (SelectionRule::MarginalCoverage, _) => {
-            incremental_sweep(cover, &requirements, sorted, &prefixes)?
+            incremental_sweep(cover, &requirements, sorted, &prefixes, stats)?
         }
     };
 
+    // Every change of winner set admits a newcomer the earlier intervals
+    // could not pick, so a run of equal consecutive sets is one distinct
+    // set.
     let mut set_of = vec![usize::MAX; prices.len()];
-    for (i, iv) in intervals.iter().enumerate() {
+    let mut sets: Vec<Vec<WorkerId>> = Vec::new();
+    for (iv, winners) in intervals.iter().zip(winner_sets) {
+        if sets.last() != Some(&winners) {
+            sets.push(winners);
+        }
         for s in set_of.iter_mut().take(iv.end).skip(iv.start) {
-            *s = i;
+            *s = sets.len() - 1;
         }
     }
     debug_assert!(
@@ -1227,7 +1637,7 @@ fn schedule_over(
     Ok(PriceSchedule {
         prices,
         set_of,
-        sets: winner_sets,
+        sets,
     })
 }
 
@@ -1710,7 +2120,7 @@ mod tests {
     fn sweeps_match_per_interval_selection_across_prefixes() {
         // Prefix 3's newcomer is too weak to divert the incumbents (replay
         // confirms); prefix 4's newcomer strictly dominates every step and
-        // forces the warm-started re-selection. Every sweep must agree with
+        // forces the resumed re-selection. Every sweep must agree with
         // selecting each prefix from scratch.
         let req = vec![1.0, 0.2];
         let rows = vec![
@@ -1722,7 +2132,8 @@ mod tests {
         let cover = cover_of(rows, &req);
         let sorted: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
         let prefixes = [2usize, 3, 4];
-        let incremental = incremental_sweep(&cover, &req, &sorted, &prefixes).unwrap();
+        let mut stats = BuildStats::default();
+        let incremental = incremental_sweep(&cover, &req, &sorted, &prefixes, &mut stats).unwrap();
         let indexed = indexed_sweep(&cover, &req, &sorted, &prefixes).unwrap();
         let static_total = static_sweep(&cover, &req, &sorted, &prefixes).unwrap();
         for (k, &p) in prefixes.iter().enumerate() {
@@ -1736,6 +2147,11 @@ mod tests {
         // marginal winner set, so the divergent path was exercised.
         assert_ne!(incremental[1], incremental[2]);
         assert_eq!(incremental[2], vec![WorkerId(3)]);
+        // Prefix 3 confirmed; prefix 4 resumed at step 0.
+        assert_eq!(
+            (stats.confirmed, stats.resumed, stats.resume_steps),
+            (1, 1, 0)
+        );
     }
 
     #[test]
@@ -1864,6 +2280,43 @@ mod tests {
                         "{rule:?}/{strategy:?}/{i}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_winner_sets_of_consecutive_intervals_are_stored_once() {
+        // Three strong workers cover the task from price 11 on; three weak,
+        // dearer ones open three more bidding-price intervals without
+        // ever winning. Four intervals, one winner set.
+        let strong = Bundle::new(vec![TaskId(0)]);
+        let prices = [10.0, 10.5, 11.0, 12.0, 13.0, 14.0];
+        let bids: Vec<Bid> = prices
+            .iter()
+            .map(|&p| Bid::new(strong.clone(), Price::from_f64(p)))
+            .collect();
+        let skills = SkillMatrix::from_rows(
+            [0.95, 0.95, 0.95, 0.6, 0.6, 0.6]
+                .iter()
+                .map(|&theta| vec![theta])
+                .collect(),
+        )
+        .unwrap();
+        let inst = Instance::builder(1)
+            .bids(bids)
+            .skills(skills)
+            .uniform_error_bound(0.4)
+            .price_grid_f64(10.0, 20.0, 0.5)
+            .cost_range(Price::from_f64(10.0), Price::from_f64(20.0))
+            .build()
+            .unwrap();
+        let reference = reference_schedule(&inst, SelectionRule::MarginalCoverage).unwrap();
+        assert_eq!(reference.num_distinct_sets(), 1);
+        for strategy in Strategy::ALL {
+            let s = build(&inst, SelectionRule::MarginalCoverage, strategy).unwrap();
+            assert_eq!(s.num_distinct_sets(), 1, "{strategy:?}");
+            for i in 0..s.len() {
+                assert_eq!(s.winners(i), &[WorkerId(0), WorkerId(1), WorkerId(2)]);
             }
         }
     }
@@ -1999,6 +2452,33 @@ mod tests {
                 "rows {rows:?} req {req:?}"
             );
         }
+    }
+
+    #[test]
+    fn dense_finish_matches_the_eager_rescan_on_tie_patterns() {
+        // On pools this small one stale re-evaluation already costs more
+        // than a dense pass, so these selections finish dense.
+        let mut dense_steps = 0;
+        for (rows, req) in tie_pattern_cases() {
+            let candidates: Vec<WorkerId> = (0..rows.len()).map(|i| WorkerId(i as u32)).collect();
+            let cover = cover_of(rows.clone(), &req);
+            let init: Vec<f64> = candidates
+                .iter()
+                .map(|&w| marginal_gain(&cover, w, &req))
+                .collect();
+            let mut greedy = Greedy::new(&cover, &candidates, &init, &req);
+            let mut stats = BuildStats::default();
+            greedy
+                .select_from_scratch(candidates.len(), &mut stats)
+                .unwrap();
+            assert_eq!(
+                Ok(greedy.winners_sorted()),
+                select_marginal_eager(&candidates, &cover, &req),
+                "rows {rows:?} req {req:?}"
+            );
+            dense_steps += stats.dense_steps;
+        }
+        assert!(dense_steps > 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use mcs_service::{
 use mcs_sim::faults::FaultPlan;
 use mcs_sim::platform::{run_round_resilient, ResilienceConfig};
 use mcs_sim::Setting;
-use mcs_types::{Bid, Bundle, Price, TaskId, WorkerId};
+use mcs_types::{Bid, Bundle, Fnv1a, Price, TaskId, WorkerId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -97,6 +97,10 @@ pub struct FuzzOutcome {
     /// disagree, and accepted values whose direct and tree encodings
     /// differ — always a bug.
     pub roundtrip_failures: u64,
+    /// FNV-1a digest of every executed input, each prefixed by its length:
+    /// two runs drew the same inputs iff (barring a collision) their
+    /// digests agree.
+    pub inputs_digest: u64,
 }
 
 impl FuzzOutcome {
@@ -344,9 +348,12 @@ fn every_variant_lines() -> Vec<String> {
 pub fn run_fuzz(iters: u64, seed: u64) -> FuzzOutcome {
     let corpus = builtin_corpus();
     let mut outcome = FuzzOutcome::default();
+    let mut inputs = Fnv1a::new();
     let previous_hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
     for entry in &corpus {
+        inputs.write_usize(entry.len());
+        inputs.write(entry);
         execute(entry, &mut outcome);
     }
     let mut stream = rng::derived(seed, 0xF022);
@@ -356,9 +363,12 @@ pub fn run_fuzz(iters: u64, seed: u64) -> FuzzOutcome {
         for _ in 0..rounds {
             mutate(&mut bytes, &corpus, &mut stream);
         }
+        inputs.write_usize(bytes.len());
+        inputs.write(&bytes);
         execute(&bytes, &mut outcome);
     }
     panic::set_hook(previous_hook);
+    outcome.inputs_digest = inputs.finish();
     outcome
 }
 

@@ -24,11 +24,10 @@ fn different_seeds_explore_different_inputs() {
     let a = run_fuzz(300, 1);
     let b = run_fuzz(300, 2);
     assert!(a.clean() && b.clean());
-    // Not a hard guarantee, but with 300 random mutations the accept
-    // counts coinciding for different seeds would be suspicious enough
-    // to look at the RNG plumbing.
-    assert!(
-        a.accepted != b.accepted || a.rejected != b.rejected,
-        "seeds 1 and 2 produced identical outcome profiles: {a:?}"
+    // The digest covers every executed input, so equal digests would
+    // mean the seed never reached the mutation stream.
+    assert_ne!(
+        a.inputs_digest, b.inputs_digest,
+        "seeds 1 and 2 executed the same inputs: {a:?}"
     );
 }
