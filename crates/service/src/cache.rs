@@ -3,15 +3,18 @@
 //! The expensive step of every auction request is building the per-price
 //! winner schedule and the exponential-mechanism PMF; the cheap step is
 //! the seeded price draw. The cache keys the expensive artifact by the
-//! *content* of `(Instance, ε)` — the instance's stable FNV-1a digest
-//! (see `mcs_types::Instance::digest`) plus the raw bits of ε — so two
-//! structurally identical requests share one build regardless of which
-//! client sent them.
+//! *content* of `(Instance, ε)` — the instance's stable 64-bit digest
+//! (see `mcs_types::Instance::digest`, a versioned folded-multiply hash
+//! taken one word at a time) plus the raw bits of ε — so two structurally
+//! identical requests share one build regardless of which client sent
+//! them.
 //!
 //! Digest collisions are possible in principle (64-bit hash) but the
 //! digest is versioned and covers every field that influences the
 //! schedule, so a collision requires adversarial input; the service
 //! trades that remote risk for not holding full instances in the key.
+//! (The decode memo beside this cache, `memo.rs`, does hold them, keyed
+//! by their exact bytes, and hands this cache the digest it stored.)
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,8 +33,13 @@ pub struct CacheKey {
 impl CacheKey {
     /// Derives the key for an `(instance, ε)` pair.
     pub fn new(instance: &Instance, epsilon: f64) -> Self {
+        CacheKey::from_digest(instance.digest(), epsilon)
+    }
+
+    /// The key of an instance whose digest is already known.
+    pub(crate) fn from_digest(digest: u64, epsilon: f64) -> Self {
         CacheKey {
-            digest: instance.digest(),
+            digest,
             eps_bits: epsilon.to_bits(),
         }
     }

@@ -55,6 +55,7 @@
 mod cache;
 mod envelope;
 mod ledger;
+mod memo;
 mod metrics;
 mod server;
 mod stream;
@@ -69,6 +70,7 @@ pub use ledger::{
     DurableLedger, Ledger, PaymentRecord, RecoveryReport, RosterEntry, RoundError, RoundSpec,
     RoundState, RoundStatusView, WalEvent,
 };
+pub use memo::DecodeMemo;
 pub use metrics::{MetricsRegistry, ENDPOINTS};
 pub use server::{Client, Service, ServiceConfig, BUSY_RETRY_HINT_MS};
 pub use stream::{StreamDecision, StreamReceipt, StreamSession, StreamSpec, StreamStatusView};

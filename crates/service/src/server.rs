@@ -33,6 +33,7 @@ use mcs_types::McsError;
 
 use crate::cache::{CacheKey, PmfCache};
 use crate::ledger::{system_now_ms, DurabilityConfig, DurableLedger, RoundError};
+use crate::memo::DecodeMemo;
 use crate::metrics::MetricsRegistry;
 use crate::wal::WalError;
 use crate::wire::{HealthReport, PmfSummary, Request, Response};
@@ -86,6 +87,8 @@ struct Queue {
 
 struct Shared {
     cache: PmfCache,
+    /// Decoded instances of recent wire lines, bounded like `cache`.
+    memo: DecodeMemo,
     metrics: MetricsRegistry,
     config: ServiceConfig,
     queue: Mutex<Queue>,
@@ -122,12 +125,30 @@ impl Client {
     /// [`Response::ShuttingDown`]. Blocking happens only while an
     /// *accepted* request is worked on.
     pub fn call(&self, request: Request) -> Response {
+        let key = batch_key(&request);
+        self.submit(request, key)
+    }
+
+    /// Decodes one wire line and answers it, as the TCP front-end does: a
+    /// line that does not decode is answered with a `malformed request`
+    /// [`Response::Error`]. Lines go through the service's decode memo, so
+    /// a `run_auction` or `query_pmf` line that repeats the exact bytes of
+    /// a recently decoded instance is neither parsed nor digested again.
+    pub fn call_line(&self, line: &str) -> Response {
+        match self.shared.memo.decode(line) {
+            Ok((request, key)) => self.submit(request, key),
+            Err(err) => err.answer(),
+        }
+    }
+
+    /// Queues `request` under its cache `key` and waits for the answer.
+    fn submit(&self, request: Request, key: Option<CacheKey>) -> Response {
         let (reply, reply_rx) = sync_channel(1);
-        // Digest on the caller's thread, outside the queue lock: the
-        // worker coalesces and looks the cache up with this key.
+        // The key was digested on the caller's thread, outside the queue
+        // lock: the worker coalesces and looks the cache up with it.
         let job = Job {
             enqueued_at: Instant::now(),
-            key: batch_key(&request),
+            key,
             request,
             reply,
         };
@@ -190,6 +211,7 @@ impl Service {
         };
         let shared = Arc::new(Shared {
             cache: PmfCache::new(config.cache_capacity),
+            memo: DecodeMemo::new(config.cache_capacity),
             metrics: MetricsRegistry::new(),
             queue: Mutex::new(Queue {
                 jobs: VecDeque::with_capacity(config.queue_depth.max(1)),
@@ -250,13 +272,8 @@ impl Drop for Service {
 /// The cache key of a batchable request; `None` for requests that are
 /// never coalesced.
 fn batch_key(request: &Request) -> Option<CacheKey> {
-    match request {
-        Request::RunAuction {
-            instance, epsilon, ..
-        }
-        | Request::QueryPmf { instance, epsilon } => Some(CacheKey::new(instance, *epsilon)),
-        _ => None,
-    }
+    let (instance, epsilon) = request.pmf_input()?;
+    Some(CacheKey::new(instance, epsilon))
 }
 
 /// Pops the front job together with every queued job that has the same
@@ -389,13 +406,9 @@ fn answer_batch(shared: &Shared, batch: Vec<Job>) {
     let batched = batch.len() > 1;
     if let Some(key) = batch[0].key {
         // One schedule/PMF build serves the whole batch.
-        let (instance, epsilon) = match &batch[0].request {
-            Request::RunAuction {
-                instance, epsilon, ..
-            }
-            | Request::QueryPmf { instance, epsilon } => (instance, *epsilon),
-            // Only these requests carry a key, so this arm is unreachable.
-            _ => return,
+        // Only requests with a PMF input carry a key, so this never returns.
+        let Some((instance, epsilon)) = batch[0].request.pmf_input() else {
+            return;
         };
         let built = shared
             .cache
@@ -542,6 +555,57 @@ mod tests {
         queue.push_back(job(7, None));
         assert_eq!(tags(&take_batch(&mut queue).unwrap()), [4]);
         assert_eq!(tags(&queue), [5, 7]);
+    }
+
+    /// `call_line` decodes through the service's own memo, which the
+    /// cache capacity bounds and switches off.
+    #[test]
+    fn call_line_decodes_through_the_service_memo() {
+        let instances: Vec<_> = (0..3)
+            .map(|seed| {
+                mcs_sim::Setting::one(80)
+                    .scaled_down(8)
+                    .generate(seed)
+                    .instance
+            })
+            .collect();
+        let line = |instance: &mcs_types::Instance| {
+            let request = Request::RunAuction {
+                instance: instance.clone(),
+                epsilon: 0.1,
+                seed: 1,
+            };
+            serde_json::to_string(&request).expect("serialize")
+        };
+        let held = |instance| serde_json::to_string(instance).expect("serialize").len();
+        for capacity in [0, 2] {
+            let service = Service::start(ServiceConfig {
+                cache_capacity: capacity,
+                ..ServiceConfig::default()
+            });
+            let client = service.client();
+            let memo = &service.shared.memo;
+            // Memoised on the second sighting, served on the third.
+            let first = client.call_line(&line(&instances[0]));
+            assert!(matches!(first, Response::Outcome(_)));
+            for _ in 0..2 {
+                assert_eq!(client.call_line(&line(&instances[0])), first);
+            }
+            let served = usize::from(capacity > 0);
+            assert_eq!((memo.hits(), memo.len()), (served as u64, served));
+            // One instance more than the capacity: the first is evicted.
+            for instance in [&instances[1], &instances[1], &instances[2], &instances[2]] {
+                assert!(matches!(
+                    client.call_line(&line(instance)),
+                    Response::Outcome(_)
+                ));
+            }
+            assert_eq!(memo.len(), capacity);
+            let resident: usize = instances[3 - capacity..].iter().map(held).sum();
+            assert_eq!(memo.bytes(), resident);
+            assert!(memo.bytes() <= DecodeMemo::MAX_BYTES);
+            service.shutdown();
+        }
     }
 
     /// A burst of same-instance requests queued behind the single worker

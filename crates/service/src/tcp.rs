@@ -1,12 +1,15 @@
 //! Line-delimited JSON over TCP: the service's network transport.
 //!
-//! One request per line, one response per line, both the externally
+//! One request per line, one response per line, both the internally
 //! tagged JSON encodings of [`Request`] / [`Response`]. The transport is
 //! a thin shell around the in-process [`Client`]: every connection gets a
-//! thread that parses lines, forwards them through `Client::call`, and
-//! writes the answer back — so batching, caching, backpressure, and
-//! draining all behave identically across transports. A full queue
-//! produces a `busy` *line*, never a stalled or reset connection.
+//! thread that hands each line to `Client::call_line` (which decodes it
+//! through the service's decode memo and forwards it as `Client::call`
+//! would) and writes the answer back — so batching, caching,
+//! backpressure, and draining all behave identically across transports.
+//! A line that does not decode, invalid UTF-8 included, gets a
+//! `malformed request` error line and the connection stays open. A full
+//! queue produces a `busy` *line*, never a stalled or reset connection.
 //! Connection threads are scoped to the accept thread, so a closed
 //! connection's thread and stack are released when it ends, not at
 //! shutdown. A request line may hold at most [`MAX_LINE_BYTES`]; a longer
@@ -33,7 +36,7 @@ use rand::Rng;
 use mcs_num::rng;
 
 use crate::server::Client;
-use crate::wire::{decode_request, decode_response, Request, Response};
+use crate::wire::{decode_response, Request, Response, WireError};
 
 /// How often a connection's blocked read re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(50);
@@ -161,20 +164,18 @@ fn serve_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) {
                 break;
             }
             Ok(LineRead::Line) => {
-                // Lines are UTF-8, as `read_line` required.
-                let Ok(text) = std::str::from_utf8(&line) else {
-                    break;
-                };
                 // The checked decode rejects non-finite numbers and
                 // duplicate keys before typed deserialization, and
                 // instances the builder would refuse after it, so no
                 // request built from an unsound document reaches the
-                // service (or its digest-keyed cache).
-                let response = match decode_request(text.trim()) {
-                    Ok(request) => client.call(request),
-                    Err(err) => Response::Error {
-                        message: format!("malformed request: {err}"),
-                    },
+                // service (or its digest-keyed cache). A line that is not
+                // UTF-8 is not JSON either, and is answered as such.
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) => client.call_line(text.trim()),
+                    Err(err) => {
+                        WireError::Syntax(format!("invalid UTF-8 at byte {}", err.valid_up_to()))
+                            .answer()
+                    }
                 };
                 if write_line(&mut writer, &response).is_err() {
                     break;

@@ -17,6 +17,7 @@
 //! tree, which names the error.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Offence, Serialize, Step, Value};
 
@@ -134,6 +135,18 @@ pub enum Request {
 }
 
 impl Request {
+    /// The input of the PMF a `run_auction` or `query_pmf` request needs,
+    /// which the service caches; `None` for every other request.
+    pub(crate) fn pmf_input(&self) -> Option<(&Instance, f64)> {
+        match self {
+            Request::RunAuction {
+                instance, epsilon, ..
+            }
+            | Request::QueryPmf { instance, epsilon } => Some((instance, *epsilon)),
+            _ => None,
+        }
+    }
+
     /// The stable endpoint name used in metrics and logs: the request's
     /// `"type"` tag.
     pub fn endpoint(&self) -> &'static str {
@@ -430,6 +443,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl WireError {
+    /// The answer to a request line that does not decode.
+    pub(crate) fn answer(&self) -> Response {
+        Response::Error {
+            message: format!("malformed request: {self}"),
+        }
+    }
+}
+
 /// Rejects non-finite numbers and duplicate object keys anywhere in a
 /// parsed value tree, reporting the first offence with its JSONPath.
 fn validate_tree(v: &Value) -> Result<(), WireError> {
@@ -501,9 +523,19 @@ fn validate_instance(instance: &Instance) -> Result<(), WireError> {
 ///
 /// Returns the [`WireError`] variant describing the first problem found.
 pub fn decode_request(text: &str) -> Result<Request, WireError> {
-    match serde::read_document::<Request>(text) {
-        Some(request) => validate_request(request),
-        None => decode_request_via_tree(text),
+    decode_request_spanned(text).map(|(request, _)| request)
+}
+
+/// [`decode_request`], also answering where the one-pass reader found the
+/// value of the line's top-level `instance` member: its byte range in
+/// `text`, or `None` when the line went down the tree path or has no
+/// such member.
+pub(crate) fn decode_request_spanned(
+    text: &str,
+) -> Result<(Request, Option<Range<usize>>), WireError> {
+    match serde::read_document_with_span::<Request>(text, "instance") {
+        Some((request, span)) => validate_request(request).map(|request| (request, span)),
+        None => decode_request_via_tree(text).map(|request| (request, None)),
     }
 }
 

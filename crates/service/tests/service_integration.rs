@@ -303,6 +303,40 @@ fn malformed_tcp_line_answers_error_and_keeps_connection() {
     service.shutdown();
 }
 
+/// A line that is not UTF-8 is malformed like any other: it gets an
+/// `error` line, and the connection goes on serving.
+#[test]
+fn a_non_utf8_line_answers_error_and_keeps_connection() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let service = Service::start(ServiceConfig::default());
+    let tcp = TcpServer::bind(service.client(), "127.0.0.1:0").expect("bind loopback");
+    let stream = std::net::TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+
+    writer
+        .write_all(b"{\"type\":\"health\"}\xff\n{\"type\":\"health\"}\n")
+        .expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error line");
+    assert_eq!(
+        decode_response(line.trim()),
+        Ok(Response::Error {
+            message: "malformed request: invalid JSON: invalid UTF-8 at byte 17".to_string()
+        })
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("read health line");
+    assert!(matches!(
+        decode_response(line.trim()),
+        Ok(Response::Health(_))
+    ));
+
+    tcp.shutdown();
+    service.shutdown();
+}
+
 /// The `error` line the server answers a line longer than the cap with.
 fn is_the_cap_refusal(response: &Response) -> bool {
     matches!(response, Response::Error { message } if message.contains(&MAX_LINE_BYTES.to_string()))

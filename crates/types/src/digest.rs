@@ -18,19 +18,24 @@
 //! # Stability contract
 //!
 //! The encoding below is versioned by [`DIGEST_VERSION`], which is mixed
-//! into every digest. Any change to the canonical field encoding MUST bump
-//! the version so stale persisted digests can never alias fresh ones.
-//! Within one version, `a == b  ⇒  a.digest() == b.digest()`, and the
-//! converse holds up to 64-bit collision probability (FNV-1a; the cache
-//! layer additionally stores nothing that would be unsound to serve on a
-//! collision of *equal-shaped* inputs, but callers that need cryptographic
-//! collision resistance must not use this digest).
+//! into every digest. Any change to the canonical field encoding or to the
+//! hash that absorbs it MUST bump the version so stale persisted digests
+//! can never alias fresh ones. Within one version,
+//! `a == b  ⇒  a.digest() == b.digest()`, and the converse holds up to
+//! 64-bit collision probability (a folded-multiply hash, not a
+//! cryptographic one; callers that need collision resistance against
+//! crafted inputs must not use this digest).
+//!
+//! Version 1 absorbed the encoding byte by byte with FNV-1a. Version 2
+//! absorbs the same fields one 64-bit word at a time (every field is a
+//! word: tags, counts, task ids, tenths, IEEE-754 bit patterns), which
+//! digests a Setting I, N = 560 instance about four times faster.
 
 use crate::Instance;
 
 /// Version tag mixed into every [`Instance::digest`]; bump on any encoding
 /// change (see the module-level stability contract).
-pub const DIGEST_VERSION: u64 = 1;
+pub const DIGEST_VERSION: u64 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -103,6 +108,41 @@ impl Fnv1a {
     }
 }
 
+/// The hash of [`Instance::digest`]: each 64-bit word is XORed into the
+/// state, and the state becomes the folded product — the XOR of the two
+/// halves of its 128-bit product with an odd constant — XORed with its
+/// old value. One multiply a word, where FNV-1a takes eight.
+struct WordHash {
+    state: u64,
+}
+
+impl WordHash {
+    /// π's first fractional bits and the golden ratio's (odd).
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        WordHash { state: Self::SEED }
+    }
+
+    fn word(&mut self, x: u64) {
+        let product = u128::from(self.state ^ x) * u128::from(Self::MULTIPLIER);
+        self.state ^= (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    fn i64(&mut self, x: i64) {
+        self.word(x as u64);
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+}
+
 /// Field tags of the canonical [`Instance`] encoding. Values are part of
 /// the stability contract; never reuse or renumber within a version.
 mod field {
@@ -118,7 +158,7 @@ mod field {
 }
 
 impl Instance {
-    /// A stable 64-bit FNV-1a content digest of every field the mechanisms
+    /// A stable 64-bit content digest of every field the mechanisms
     /// read: task count, the full bid profile (bundles and prices), the
     /// skill matrix, the per-task error bounds, the candidate price grid,
     /// and the cost range.
@@ -129,50 +169,50 @@ impl Instance {
     /// schedule/PMF cache, sound because schedule and PMF construction are
     /// deterministic functions of `(Instance, ε)`.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(DIGEST_VERSION);
+        let mut h = WordHash::new();
+        h.word(DIGEST_VERSION);
 
-        h.tag(field::NUM_TASKS);
-        h.write_usize(self.num_tasks());
+        h.word(u64::from(field::NUM_TASKS));
+        h.usize(self.num_tasks());
 
-        h.tag(field::BIDS);
-        h.write_usize(self.num_workers());
+        h.word(u64::from(field::BIDS));
+        h.usize(self.num_workers());
         for (_, bid) in self.bids().iter() {
             // Bundles are stored sorted and deduplicated, so iteration
             // order is canonical whatever order the caller listed tasks in.
-            h.write_usize(bid.bundle().len());
+            h.usize(bid.bundle().len());
             for t in bid.bundle().iter() {
-                h.write_u32(t.0);
+                h.word(u64::from(t.0));
             }
-            h.write_i64(bid.price().tenths());
+            h.i64(bid.price().tenths());
         }
 
-        h.tag(field::SKILLS);
-        h.write_usize(self.skills().num_workers());
-        h.write_usize(self.skills().num_tasks());
+        h.word(u64::from(field::SKILLS));
+        h.usize(self.skills().num_workers());
+        h.usize(self.skills().num_tasks());
         // The *logical* matrix is hashed cell by cell, so a dense and a
-        // CSR construction of equal matrices digest byte-identically —
+        // CSR construction of equal matrices digest identically —
         // which is what keeps the service PmfCache and request-batching
         // keys stable across layouts.
         for i in 0..self.skills().num_workers() {
             self.skills()
-                .for_each_theta(crate::WorkerId(i as u32), |theta| h.write_f64(theta));
+                .for_each_theta(crate::WorkerId(i as u32), |theta| h.f64(theta));
         }
 
-        h.tag(field::DELTAS);
-        h.write_usize(self.deltas().len());
+        h.word(u64::from(field::DELTAS));
+        h.usize(self.deltas().len());
         for &d in self.deltas() {
-            h.write_f64(d);
+            h.f64(d);
         }
 
-        h.tag(field::PRICE_GRID);
-        h.write_i64(self.price_grid().min().tenths());
-        h.write_i64(self.price_grid().max().tenths());
-        h.write_i64(self.price_grid().step().tenths());
+        h.word(u64::from(field::PRICE_GRID));
+        h.i64(self.price_grid().min().tenths());
+        h.i64(self.price_grid().max().tenths());
+        h.i64(self.price_grid().step().tenths());
 
-        h.tag(field::COST_RANGE);
-        h.write_i64(self.cmin().tenths());
-        h.write_i64(self.cmax().tenths());
+        h.word(u64::from(field::COST_RANGE));
+        h.i64(self.cmin().tenths());
+        h.i64(self.cmax().tenths());
 
         // Canonicalization, not an omission: a completion model with every
         // stored p = 1 (or no model at all) yields provably the same
@@ -183,23 +223,23 @@ impl Instance {
         // in.
         if let crate::CompletionModel::Bernoulli(b) = self.completion() {
             if self.completion().is_uncertain() {
-                h.tag(field::COMPLETION);
-                h.write_usize(b.rows().len());
+                h.word(u64::from(field::COMPLETION));
+                h.usize(b.rows().len());
                 for row in b.rows() {
-                    h.write_usize(row.len());
+                    h.usize(row.len());
                     for &(t, p) in row {
-                        h.write_u32(t.0);
-                        h.write_f64(p);
+                        h.word(u64::from(t.0));
+                        h.f64(p);
                     }
                 }
-                h.write_usize(b.gammas().len());
+                h.usize(b.gammas().len());
                 for &g in b.gammas() {
-                    h.write_f64(g);
+                    h.f64(g);
                 }
             }
         }
 
-        h.finish()
+        h.state
     }
 }
 
@@ -384,6 +424,13 @@ mod tests {
             )))
             .unwrap();
         assert_ne!(uncertain.digest(), tighter.digest());
+    }
+
+    #[test]
+    fn base_digest_known_answer() {
+        // The version-2 digest of `base()`, pinned: a change here means the
+        // encoding or the hash changed and DIGEST_VERSION must be bumped.
+        assert_eq!(base().digest(), 12_758_838_223_019_700_907);
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //!    response must print the same bytes written directly as written
 //!    through its tree (`to_value`). A mismatch counts as a round-trip
 //!    failure.
+//! 4. **The memo decodes alike** — the TCP front-end decodes through the
+//!    service's [`DecodeMemo`], which serves a line repeating a memoised
+//!    instance's exact bytes without parsing it. Every input goes through
+//!    a fresh memo three times, so the last decode can hit (an instance is
+//!    kept on its second sighting); an accepted
+//!    instance-first line is then followed by edits of its members
+//!    (reordered, an unknown key, a repeated `instance` or `epsilon`,
+//!    whitespace after the instance, its last θ digit changed, the line
+//!    cut inside the instance). Each must get [`decode_request`]'s answer
+//!    and the cache key `Client::call` would derive, or it counts as a
+//!    round-trip failure.
 //!
 //! [`run_wal_fuzz`] does the same to the crash-recovery path: arbitrary
 //! WAL images go through [`mcs_service::recover_from_bytes`], which must
@@ -42,9 +53,10 @@ use mcs_auction::{AuctionOutcome, DpHsrcAuction};
 use mcs_num::rng;
 use mcs_service::{
     decode_request, decode_request_via_tree, decode_response, encode_frame, recover_from_bytes,
-    scan_bytes, BidEnvelope, CommitReceipt, EndpointMetrics, HealthReport, LatencySummary,
-    MetricsReport, PaymentRecord, PmfSummary, Request, Response, RosterEntry, RoundSpec,
-    RoundStatusView, StreamReceipt, StreamSpec, StreamStatusView, WalEvent, WAL_HEADER_LEN,
+    scan_bytes, BidEnvelope, CacheKey, CommitReceipt, DecodeMemo, EndpointMetrics, HealthReport,
+    LatencySummary, MetricsReport, PaymentRecord, PmfSummary, Request, Response, RosterEntry,
+    RoundSpec, RoundStatusView, StreamReceipt, StreamSpec, StreamStatusView, WalEvent, WireError,
+    WAL_HEADER_LEN,
 };
 use mcs_sim::faults::FaultPlan;
 use mcs_sim::platform::{run_round_resilient, ResilienceConfig};
@@ -412,7 +424,8 @@ fn writers_agree<T: Serialize>(value: &T) -> bool {
 fn probe(line: &str) -> Probe {
     let mut any_accepted = false;
     let decoded = decode_request(line);
-    if decoded != decode_request_via_tree(line) {
+    if decoded != decode_request_via_tree(line) || !memo_agrees(&DecodeMemo::new(4), line, &decoded)
+    {
         return Probe::Unstable;
     }
     if let Ok(request) = decoded {
@@ -463,6 +476,104 @@ fn probe(line: &str) -> Probe {
     } else {
         Probe::Rejected
     }
+}
+
+/// The compact openings of the lines whose instance the memo keeps.
+const INSTANCE_FIRST: [&str; 2] = [
+    r#"{"type":"run_auction","instance":"#,
+    r#"{"type":"query_pmf","instance":"#,
+];
+
+/// Whether `memo` answers `line` as `decoded` (its [`decode_request`]
+/// answer) three times — the memo keeps an instance on its second
+/// sighting, so the third can hit — and then each of [`memo_edits`] of it
+/// as [`decode_request`] does.
+fn memo_agrees(memo: &DecodeMemo, line: &str, decoded: &Result<Request, WireError>) -> bool {
+    (0..3).all(|_| memo_answers(memo, line, decoded))
+        && memo_edits(line, decoded)
+            .iter()
+            .all(|edit| memo_answers(memo, edit, &decode_request(edit)))
+}
+
+/// Whether `memo` decodes `line` to `reference`, with the cache key
+/// `Client::call` derives from the request.
+fn memo_answers(memo: &DecodeMemo, line: &str, reference: &Result<Request, WireError>) -> bool {
+    match (memo.decode(line), reference) {
+        (Ok((request, key)), Ok(expected)) => {
+            let expected_key = match expected {
+                Request::RunAuction {
+                    instance, epsilon, ..
+                }
+                | Request::QueryPmf { instance, epsilon } => {
+                    Some(CacheKey::new(instance, *epsilon))
+                }
+                _ => None,
+            };
+            request == *expected && key == expected_key
+        }
+        (Err(err), Err(expected)) => err.to_string() == expected.to_string(),
+        _ => false,
+    }
+}
+
+/// Edits of an accepted instance-first line that test the memo's hit
+/// path once the line is memoised: its members reordered, an unknown key
+/// appended, a repeated `instance` or `epsilon`, whitespace after the
+/// instance, the last θ digit changed, and the line cut inside the
+/// instance. Empty for any other line.
+fn memo_edits(line: &str, decoded: &Result<Request, WireError>) -> Vec<String> {
+    let (epsilon, seed) = match decoded {
+        Ok(Request::RunAuction { epsilon, seed, .. }) => (epsilon, Some(seed)),
+        Ok(Request::QueryPmf { epsilon, .. }) => (epsilon, None),
+        _ => return Vec::new(),
+    };
+    let Some((_, Some(span))) = serde::read_document_with_span::<Request>(line, "instance") else {
+        return Vec::new();
+    };
+    if !INSTANCE_FIRST
+        .iter()
+        .any(|prefix| line.starts_with(prefix) && span.start == prefix.len())
+    {
+        return Vec::new();
+    }
+    let (head, tail) = line.split_at(span.end);
+    let instance = &line[span.clone()];
+    let epsilon = format!(
+        r#""epsilon":{}"#,
+        serde_json::to_string(epsilon).expect("a float")
+    );
+    let members = match seed {
+        Some(seed) => format!(r#","seed":{seed},{epsilon}}}"#),
+        None => format!(",{epsilon} }}"),
+    };
+    let open = &tail[..tail.len() - 1];
+    let mut edits = vec![
+        format!("{head}{members}"),
+        format!(r#"{open},"note":1}}"#),
+        format!(r#"{head},"instance":{instance}{tail}"#),
+        format!("{head},{epsilon}{tail}"),
+        format!("{head} {tail}"),
+    ];
+    if let Some(theta) = instance.rfind(r#""theta":["#) {
+        let close = instance[theta..]
+            .find(']')
+            .map(|at| span.start + theta + at);
+        if let Some(last) = close.filter(|&at| line.as_bytes()[at - 1].is_ascii_digit()) {
+            let digit = line.as_bytes()[last - 1];
+            let other = if digit == b'0' {
+                '1'
+            } else {
+                (digit - 1) as char
+            };
+            edits.push(format!("{}{other}{}", &line[..last - 1], &line[last..]));
+        }
+    }
+    let mut cut = span.start + span.len() / 2;
+    while !line.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    edits.push(line[..cut].to_string());
+    edits
 }
 
 /// One random structural mutation of `bytes`.
@@ -799,7 +910,6 @@ fn wal_mutate(bytes: &mut Vec<u8>, corpus: &[Vec<u8>], rng: &mut ChaCha8Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_service::WireError;
 
     #[test]
     fn corpus_alone_is_clean_and_exercises_both_paths() {
@@ -881,6 +991,26 @@ mod tests {
                 other => panic!("{line} must be refused typed, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_memo_serves_the_corpus_repeats() {
+        let mut lines = 0;
+        for entry in builtin_corpus() {
+            let line = String::from_utf8(entry).expect("the corpus is UTF-8");
+            let decoded = decode_request(&line);
+            let edits = memo_edits(&line, &decoded);
+            if edits.is_empty() {
+                continue;
+            }
+            assert_eq!(edits.len(), 7, "{line}");
+            let memo = DecodeMemo::new(4);
+            assert!(memo_agrees(&memo, &line, &decoded), "{line}");
+            // The third decode and the reordered members.
+            assert_eq!(memo.hits(), 2, "{line}");
+            lines += 1;
+        }
+        assert!(lines >= 8, "{lines} instance-first corpus lines");
     }
 
     #[test]
