@@ -38,7 +38,8 @@
 //! ```
 //!
 //! `--quick` shrinks the fleet and the round count to a smoke-test size
-//! (used by CI; the checked-in JSON comes from a full run).
+//! (used by CI; the checked-in JSON comes from a full run). The JSON
+//! records the measured commit and the number of available cores.
 
 use serde::Serialize;
 
@@ -112,6 +113,8 @@ struct RefitRow {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     bench: String,
+    commit: String,
+    cores: usize,
     seed: u64,
     fleet: u64,
     rounds: usize,
@@ -400,6 +403,8 @@ fn main() {
 
     let output = BenchOutput {
         bench: "campaign".into(),
+        commit: mcs_bench::commit(),
+        cores: mcs_bench::cores(),
         seed,
         fleet,
         rounds,

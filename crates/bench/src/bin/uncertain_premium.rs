@@ -24,7 +24,8 @@
 //! ```
 //!
 //! `--quick` shrinks the fleet and the sample count to a smoke-test
-//! size (used by CI; the checked-in JSON comes from a full run).
+//! size (used by CI; the checked-in JSON comes from a full run). The JSON
+//! records the measured commit and the number of available cores.
 
 use serde::Serialize;
 
@@ -61,6 +62,8 @@ struct RungRow {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     bench: String,
+    commit: String,
+    cores: usize,
     seed: u64,
     fleet: u64,
     quick: bool,
@@ -156,6 +159,8 @@ fn main() {
 
     let output = BenchOutput {
         bench: "uncertain_premium".into(),
+        commit: mcs_bench::commit(),
+        cores: mcs_bench::cores(),
         seed,
         fleet,
         quick,

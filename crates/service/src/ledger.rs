@@ -354,9 +354,9 @@ const TAG_STREAM_ABORTED: u8 = 10;
 /// deterministic.
 fn put_spec<T: Serialize>(out: &mut Vec<u8>, tag: u8, spec: &T) {
     out.push(tag);
-    let json = serde_json::to_string(spec).expect("spec serializes");
+    let json = serde_json::to_vec(spec).expect("spec serializes");
     out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    out.extend_from_slice(json.as_bytes());
+    out.extend_from_slice(&json);
 }
 
 struct Reader<'a> {

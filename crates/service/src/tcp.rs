@@ -243,9 +243,9 @@ fn linger<R: BufRead>(reader: &mut R, stream: &TcpStream, stop: &AtomicBool) {
 }
 
 fn write_line<W: Write>(writer: &mut W, response: &Response) -> io::Result<()> {
-    let json = serde_json::to_string(response)
+    let json = serde_json::to_vec(response)
         .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-    writer.write_all(json.as_bytes())?;
+    writer.write_all(&json)?;
     writer.write_all(b"\n")?;
     writer.flush()
 }
@@ -395,9 +395,9 @@ impl TcpClient {
     /// Returns an error on socket failures, a closed connection, or a
     /// response line that does not parse.
     pub fn call_once(&mut self, request: &Request) -> io::Result<Response> {
-        let json = serde_json::to_string(request)
+        let json = serde_json::to_vec(request)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        self.writer.write_all(json.as_bytes())?;
+        self.writer.write_all(&json)?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let mut line = String::new();

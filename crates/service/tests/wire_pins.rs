@@ -19,6 +19,7 @@ use mcs_sim::faults::FaultPlan;
 use mcs_sim::platform::{run_round_resilient, ResilienceConfig};
 use mcs_sim::Setting;
 use mcs_types::{Bid, Bundle, Fnv1a, Price, TaskId, WorkerId};
+use rand::Rng;
 
 /// A pinned line: the literal bytes, or the length and digest of a long
 /// line.
@@ -179,6 +180,33 @@ fn every_request_keeps_its_bytes() {
                 r#"{{"type":"arrive","envelope":{envelope}{signature}"}}}}"#
             )),
             lit(r#"{"type":"close_stream","round_id":17}"#),
+        ]
+    );
+}
+
+/// The lines of perfbench's `hit` workload (seed 1): `run_auction` on four
+/// Setting I instances at N = 560, each ≈ 365 KB with θ's 16 800 floats,
+/// so every layout the float writer builds appears thousands of times.
+#[test]
+fn full_size_auction_lines_keep_their_bytes() {
+    let setting = Setting::one(560);
+    let pins: Vec<Pin> = (0..4)
+        .map(|i| {
+            let request = Request::RunAuction {
+                instance: setting.generate(rng::derived(1, i).gen()).instance,
+                epsilon: 0.1,
+                seed: 7,
+            };
+            pin(serde_json::to_string(&request).expect("serialize"), true)
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            Pin::Digest(365_116, 0x7068_e895_0c76_9fae),
+            Pin::Digest(365_344, 0x935d_0a5f_5a64_57d3),
+            Pin::Digest(365_967, 0x1654_751b_c442_b76f),
+            Pin::Digest(365_266, 0x1c44_2ca3_228a_1507),
         ]
     );
 }

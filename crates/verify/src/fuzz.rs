@@ -24,8 +24,9 @@
 //!    tree-only [`mcs_service::decode_request_via_tree`] answers, the same
 //!    `Ok` value or the same `Err`. And every accepted request or
 //!    response must print the same bytes written directly as written
-//!    through its tree (`to_value`). A mismatch counts as a round-trip
-//!    failure.
+//!    through its tree (`to_value`), and as printed from that tree by a
+//!    test-grade printer that formats numbers with `format!`. A mismatch
+//!    counts as a round-trip failure.
 //! 4. **The memo decodes alike** — the TCP front-end decodes through the
 //!    service's [`DecodeMemo`], which serves a line repeating a memoised
 //!    instance's exact bytes without parsing it. Every input goes through
@@ -64,7 +65,7 @@ use mcs_sim::Setting;
 use mcs_types::{Bid, Bundle, Fnv1a, Price, TaskId, WorkerId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
+use serde::{Number, Serialize, Value};
 
 /// Hand-written corpus lines compiled into the binary: valid requests
 /// and responses, near-misses (missing fields, unknown tags), the
@@ -409,11 +410,75 @@ enum Probe {
     Unstable,
 }
 
-/// Whether the direct writer and the tree writer print the same bytes.
+/// Whether the direct writer, the tree writer and [`formatted`] print the
+/// same bytes. The first two share their number kernels; the third
+/// prints numbers with `format!`, so a kernel bug shows as a disagreement.
 fn writers_agree<T: Serialize>(value: &T) -> bool {
     let direct = serde_json::to_string(value).expect("values always serialize");
-    let tree = serde_json::to_string(&value.to_value()).expect("trees always serialize");
-    direct == tree
+    let tree = value.to_value();
+    let mut reference = String::new();
+    formatted(&tree, &mut reference);
+    direct == serde_json::to_string(&tree).expect("trees always serialize") && direct == reference
+}
+
+/// A test-grade compact printer of a value tree, independent of
+/// `serde_json`'s writers: numbers are `format!`ed (a float that prints
+/// without a point gets the writers' `.0` marker, a non-finite one prints
+/// as `null`), and strings take the writers' escapes.
+fn formatted(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(&format!("{b}")),
+        Value::Number(Number::PosInt(u)) => out.push_str(&format!("{u}")),
+        Value::Number(Number::NegInt(i)) => out.push_str(&format!("{i}")),
+        Value::Number(Number::Float(f)) if !f.is_finite() => out.push_str("null"),
+        Value::Number(Number::Float(f)) => {
+            let text = format!("{f}");
+            out.push_str(&text);
+            if !text.contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+        Value::String(s) => formatted_string(s, out),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                formatted(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                formatted_string(key, out);
+                out.push(':');
+                formatted(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn formatted_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Decodes a line as a request and as a response; any accepted decode
@@ -917,6 +982,19 @@ mod tests {
         assert!(outcome.clean(), "{outcome:?}");
         assert!(outcome.accepted >= 5, "valid corpus lines must decode");
         assert!(outcome.rejected >= 5, "invalid corpus lines must reject");
+    }
+
+    #[test]
+    fn the_formatted_printer_matches_the_writers_on_every_value_kind() {
+        let tree: Value = serde_json::from_str(
+            r#"{"n":[null,true,false,0,18446744073709551615,-9223372036854775808],
+                "f":[1.0,-0.0,0.1,-2.5e-3,1e300,1e-7,276614574419137.625,9007199254740993.0],
+                "k\u0001\"\\\n\r\t é":"s\u001f😀"}"#,
+        )
+        .expect("valid JSON");
+        let mut text = String::new();
+        formatted(&tree, &mut text);
+        assert_eq!(text, serde_json::to_string(&tree).expect("trees serialize"));
     }
 
     #[test]
